@@ -1,19 +1,32 @@
-"""Lanczos iteration for complex symmetric matrices.
+"""Restarted Lanczos iteration for complex symmetric matrices.
 
 The iteration builds a Krylov basis orthogonal under the unconjugated
 bilinear form ``<u, v> = sum_i u_i v_i``, which tridiagonalizes matrices
-equal to their plain transpose.  Full reorthogonalization against the
-stored basis removes ghost eigenvalues at the memory cost of keeping all
-Krylov vectors; intended sector sizes stay well below ~1e6.
+equal to their plain transpose (the three-term recurrence of Cullum and
+Willoughby).  Each step reorthogonalizes fully against the current basis
+and enters those coefficients into a dense projected matrix ``T``, so
+``H V = V T + w e_m^T`` holds to rounding and Rayleigh-Ritz on ``T`` keeps
+its accuracy as the basis grows.  A cycle keeps at most ``KRYLOV_CAP``
+Krylov vectors (memory ``KRYLOV_CAP + 1`` vectors of the matrix dimension)
+and restarts from its best Ritz vector when it reaches that size or when
+the true residual stops halving between two extractions.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergenceError, QuasiNullBreakdownError
+
+# Krylov vectors kept per cycle: large enough that the sector ground states
+# of the XXZ ring converge in one or two cycles up to L=20, small enough that
+# eig of the projected matrix stays cheap next to a sparse matvec
+KRYLOV_CAP = 80
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -21,8 +34,8 @@ class LanczosResult:
     eigenvalue: complex
     vector: np.ndarray          # unit conventional norm, phase-fixed
     residual: float             # ||H x - E x||_2
-    iterations: int
-    restarts: int
+    iterations: int             # Krylov steps summed over all cycles
+    restarts: int               # restarts of every kind
 
 
 def _resolve_apply(matrix):
@@ -65,28 +78,36 @@ def complex_symmetric_lanczos(
     """Extremal eigenpair of a complex symmetric matrix.
 
     Returns the eigenpair whose eigenvalue has the smallest real part among
-    converged Ritz values, tie-broken toward larger imaginary part.  The
-    matching left covector is the unconjugated transpose of the returned
-    right vector (complex symmetry).
+    the Ritz values, tie-broken toward larger imaginary part.  The matching
+    left covector is the unconjugated transpose of the returned right
+    vector (complex symmetry).
 
     Parameters
     ----------
     matrix : callable, object with ``apply``, or anything supporting ``@``.
     dim : vector dimension.
     v0 : optional seed vector with nonzero quasi-norm ``<v, v>``.
-    max_iter : Krylov dimension cap per attempt.
+    max_iter : total budget of Krylov steps (one matvec each) summed over
+        all cycles; the true-residual checks come on top of it.
     tol_resid : target on the true residual ``||H x - E x||_2``.
     breakdown_guard : relative quasi-norm floor ``|<w,w>| / ||w||^2`` below
-        which the iteration declares a quasi-null breakdown and restarts
-        from a fresh random seed (up to ``restart_max`` times).
+        which the iteration declares a quasi-null breakdown and reseeds
+        from a fresh random vector (up to ``restart_max`` times; an
+        invariant subspace without a converged pair reseeds the same way).
+    ritz_interval : Krylov steps between Ritz value estimates.
+
+    The result's ``iterations`` counts every Krylov step of every cycle and
+    ``restarts`` counts every restart: reseeds as above, and restarts from
+    the cycle's best Ritz vector when it reaches ``KRYLOV_CAP`` vectors or its
+    true residual fails to halve between two extractions.
 
     Raises
     ------
     QuasiNullBreakdownError
-        After ``restart_max`` quasi-null restarts.
+        After ``restart_max`` reseeds.
     NoConvergenceError
-        If the smallest-Re Ritz pair has not met ``tol_resid`` after
-        ``max_iter`` iterations on the final attempt.
+        If the smallest-Re Ritz pair has not met ``tol_resid`` when the
+        ``max_iter`` budget is spent.
     """
     apply = _resolve_apply(matrix)
     if rng is None:
@@ -95,149 +116,101 @@ def complex_symmetric_lanczos(
     def random_seed():
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
-    last_error: Exception | None = None
-    polish: np.ndarray | None = None
-    polishes_left = 2
-    attempt = 0
-    while attempt <= restart_max:
-        if polish is not None:
-            seed = polish
-            polish = None
-        elif attempt == 0 and v0 is not None:
-            seed = v0
-        else:
-            seed = random_seed()
-        seed = np.asarray(seed, dtype=complex)
-        if seed.shape != (dim,):
-            raise ValueError(f"seed vector must have shape ({dim},)")
-        try:
-            return _lanczos_once(
-                apply, dim, seed, max_iter, tol_resid,
-                breakdown_guard, ritz_interval, attempt,
+    seed = random_seed() if v0 is None else np.asarray(v0, dtype=complex)
+    if seed.shape != (dim,):
+        raise ValueError(f"seed vector must have shape ({dim},)")
+
+    m_cap = min(KRYLOV_CAP, dim)
+    basis = np.empty((m_cap + 1, dim), dtype=complex)   # rows: Krylov vectors
+    T = np.empty((m_cap, m_cap), dtype=complex)         # projected matrix
+    steps = restarts = reseeds = 0
+    best_resid = np.inf
+    while True:
+        kind, cycle_steps, result = _cycle(
+            apply, seed, basis, T, max_iter - steps, tol_resid,
+            breakdown_guard, ritz_interval)
+        steps += cycle_steps
+        if result is not None:
+            result.iterations, result.restarts = steps, restarts
+            if result.residual <= tol_resid:
+                return result
+            best_resid = min(best_resid, result.residual)
+        if kind == "budget":
+            raise NoConvergenceError(
+                f"no converged smallest-Re eigenpair after {steps} Krylov "
+                f"steps ({restarts} restarts; best residual {best_resid:.3e})"
             )
-        except QuasiNullBreakdownError as err:
-            last_error = err
-            attempt += 1
-        except NoConvergenceError as err:
-            # a long run can stall above the tolerance because Ritz vectors
-            # assembled from a large quasi-orthogonal basis lose accuracy;
-            # reseeding a fresh short Krylov space with the best candidate
-            # polishes the vector from a well-conditioned basis
-            best = getattr(err, "best_vector", None)
-            if best is not None and polishes_left > 0:
-                polishes_left -= 1
-                polish = best
-                continue
-            raise
-    raise QuasiNullBreakdownError(
-        f"quasi-null breakdown persisted through {restart_max} restarts: {last_error}"
-    )
+        restarts += 1
+        log.debug("restart after cycle %d: %s, best residual %.3e, "
+                  "%d iterations", restarts, kind, best_resid, steps)
+        if kind in ("quasi-null", "invariant"):
+            reseeds += 1
+            if reseeds > restart_max:
+                raise QuasiNullBreakdownError(
+                    f"{kind} breakdown persisted through {restart_max} "
+                    f"restarts (best residual {best_resid:.3e})"
+                )
+            seed = random_seed()
+        else:
+            seed = result.vector
 
 
-def _lanczos_once(apply, dim, seed, max_iter, tol_resid,
-                  breakdown_guard, ritz_interval, attempt):
+def _cycle(apply, seed, basis, T, budget, tol_resid, breakdown_guard,
+           ritz_interval):
+    """One Lanczos cycle from ``seed`` of at most ``len(T)`` and at most
+    ``budget`` Krylov steps.  Returns why it stopped, the steps it took and
+    its best extracted Ritz pair (or None)."""
+    if budget <= 0:
+        return "budget", 0, None
     q0 = _bilinear(seed, seed)
     if abs(q0) < breakdown_guard * max(np.linalg.norm(seed) ** 2, 1e-300):
-        raise QuasiNullBreakdownError("seed vector is quasi-null")
-
-    m_cap = min(max_iter, dim)
-    # rows are Krylov vectors; capacity grows geometrically to avoid
-    # reserving max_iter vectors for runs that converge early
-    basis = np.empty((min(m_cap + 1, 64), dim), dtype=complex)
+        return "quasi-null", 0, None
+    m_cap = T.shape[0]
     basis[0] = seed / np.sqrt(q0)
-    alphas: list[complex] = []
-    betas: list[complex] = []
-    invariant = False
+    T[:] = 0.0
     best: LanczosResult | None = None
-
     for m in range(1, m_cap + 1):
-        w = apply(basis[m - 1])
-        alpha = _bilinear(basis[m - 1], w)
-        alphas.append(alpha)
-        w = w - alpha * basis[m - 1]
+        v = basis[m - 1]
+        w = apply(v)
+        alpha = _bilinear(v, w)
+        w = w - alpha * v
         if m > 1:
-            w = w - betas[-1] * basis[m - 2]
-        # full reorthogonalization in the bilinear form (single blocked pass)
+            w = w - T[m - 2, m - 1] * basis[m - 2]
+        # full reorthogonalization in the bilinear form (single blocked
+        # pass); its coefficients belong to column m-1 of the projection
         coeffs = basis[:m] @ w
         w = w - basis[:m].T @ coeffs
+        T[m - 1, m - 1] = alpha
+        T[:m, m - 1] += coeffs
 
         nw = np.linalg.norm(w)
-        scale = max(abs(a) for a in alphas)
-        if nw <= 1e-13 * max(scale, 1.0):
-            invariant = True          # exact invariant subspace reached
-        else:
-            q = _bilinear(w, w)
-            if abs(q) < breakdown_guard * nw**2:
-                raise QuasiNullBreakdownError(
-                    f"quasi-null Krylov vector at step {m} "
-                    f"(|<w,w>|/||w||^2 = {abs(q)/nw**2:.3e})"
-                )
+        invariant = nw <= 1e-13 * max(np.abs(T[:m, :m]).max(), 1.0)
+        last = invariant or m == m_cap or m == budget
+        if last or m % ritz_interval == 0:
+            theta, Y = np.linalg.eig(T[:m, :m])
+            t = _pick_target(theta, 1e-8 * max(1.0, np.abs(theta).max()))
+            # cheap residual estimate ||w|| * |y_m| before forming the vector
+            if last or nw * abs(Y[m - 1, t]) <= tol_resid:
+                x = basis[:m].T @ Y[:, t]
+                x = x / np.linalg.norm(x)
+                resid = float(np.linalg.norm(apply(x) - theta[t] * x))
+                result = LanczosResult(complex(theta[t]), _phase_fix(x),
+                                       resid, 0, 0)
+                if resid <= tol_resid:
+                    return "converged", m, result
+                if invariant:
+                    return "invariant", m, result
+                if best is not None and resid > 0.5 * best.residual:
+                    return "stagnation", m, min(best, result,
+                                                key=lambda r: r.residual)
+                if last:
+                    kind = "budget" if m == budget else "krylov-cap"
+                    return kind, m, result
+                best = result
 
-        if invariant or m % ritz_interval == 0 or m == m_cap:
-            result = _try_extract(apply, basis, alphas, betas, nw,
-                                  tol_resid, attempt)
-            if result is not None:
-                if result.residual <= tol_resid:
-                    return result
-                if best is None or result.residual < best.residual:
-                    best = result
-            if invariant:
-                if best is not None:
-                    break             # polishable candidate from this space
-                raise QuasiNullBreakdownError(
-                    "invariant subspace reached without a converged "
-                    "smallest-Re eigenpair (seed deficient); restarting"
-                )
-
-        beta = np.sqrt(_bilinear(w, w))
-        betas.append(beta)
-        if m >= basis.shape[0]:
-            grown = np.empty((min(2 * basis.shape[0], m_cap + 1), dim),
-                             dtype=complex)
-            grown[:basis.shape[0]] = basis
-            basis = grown
+        q = _bilinear(w, w)
+        if abs(q) < breakdown_guard * nw**2:
+            return "quasi-null", m, best
+        beta = np.sqrt(q)
+        T[m, m - 1] = T[m - 1, m] = beta
         basis[m] = w / beta
-
-    err = NoConvergenceError(
-        f"no converged smallest-Re eigenpair after {len(alphas)} iterations "
-        f"(attempt {attempt}; best residual "
-        f"{best.residual if best else float('nan'):.3e})"
-    )
-    err.best_vector = best.vector if best is not None else None
-    raise err
-
-
-def _try_extract(apply, basis, alphas, betas, nw, tol_resid, attempt):
-    """Form the smallest-Re Ritz pair once its cheap estimate converges.
-
-    Returns None while clearly unconverged; otherwise returns the pair with
-    its true residual (the caller decides whether that meets the target).
-    """
-    m = len(alphas)
-    T = np.diag(np.array(alphas, dtype=complex))
-    if m > 1:
-        b = np.array(betas[: m - 1], dtype=complex)
-        T += np.diag(b, 1) + np.diag(b, -1)
-    theta, Y = np.linalg.eig(T)
-
-    re_tie_tol = 1e-8 * max(1.0, float(np.abs(theta).max()))
-    t = _pick_target(theta, re_tie_tol)
-
-    # cheap residual estimate ||w|| * |y_m| before forming the Ritz vector
-    est = nw * abs(Y[m - 1, t])
-    if est > tol_resid:
-        return None
-
-    x = basis[:m].T @ Y[:, t]
-    nx = np.linalg.norm(x)
-    if nx < 1e-200:
-        return None
-    x = x / nx
-    resid = float(np.linalg.norm(apply(x) - theta[t] * x))
-    return LanczosResult(
-        eigenvalue=complex(theta[t]),
-        vector=_phase_fix(x),
-        residual=resid,
-        iterations=m,
-        restarts=attempt,
-    )

@@ -195,7 +195,10 @@ def ground_state(
     The deterministic selection rule (smallest real part, then largest
     imaginary part) picks one fixed member of the PT pair in the broken
     phase.  ``method="dense"`` runs full diagonalization and serves as
-    the oracle path for small sectors.
+    the oracle path for small sectors.  For ``method="lanczos"``,
+    ``max_iter`` is the total Krylov-step budget summed over all restarts
+    of the solve, and ``seed`` seeds the start vector and every reseed
+    after a quasi-null breakdown (see ``complex_symmetric_lanczos``).
     """
     if basis is None:
         basis = build_m0_basis(p.L)

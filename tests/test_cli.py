@@ -4,8 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from ptfidelity import ground_state_index
 from ptfidelity.cli import main
+from ptfidelity.xxz import XxzParams, build_hamiltonian, build_m0_basis
 
 from conftest import greedy_conjugate_closure_defect
 
@@ -121,6 +124,26 @@ class TestSubcommands:
             assert abs(entry["re_f_k"] - 0.5) < 1e-6
         assert report["is_second_order"]
         assert report["n_crossings"] == 2
+
+    def test_ep_locate_xxz_seed_one(self, tmp_path):
+        # every probe of the run starts Lanczos from the same --seed; seed 1
+        # at L=14 once stalled all of them
+        out = tmp_path / "ep.json"
+        code = run_cli("ep-locate", "--model", "xxz", "--jz", "1.0",
+                       "--bracket", "0.0", "0.6", "-L", "14", "--seed", "1",
+                       "--out", str(out))
+        assert code == 0
+        basis = build_m0_basis(14)
+
+        def arpack_broken(gamma):
+            H = build_hamiltonian(XxzParams(jz=1.0, gamma=gamma, L=14), basis)
+            w = spla.eigs(H.matrix, k=6, which="SR", tol=0,
+                          v0=np.ones(basis.size, dtype=complex),
+                          return_eigenvectors=False)
+            return abs(w[ground_state_index(w)].imag) > 1e-8
+
+        lo, hi = json.loads(out.read_text())["bracket"]
+        assert arpack_broken(lo) != arpack_broken(hi)
 
     def test_ep_locate_ssh_empty_bracket_fails_cleanly(self, capsys):
         code = run_cli("ep-locate", "--model", "ssh", "--v2", "0.0",

@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ptfidelity import (
     NoConvergenceError,
@@ -7,7 +10,24 @@ from ptfidelity import (
     complex_symmetric_lanczos,
     ground_state_index,
 )
-from ptfidelity.xxz import XxzParams, build_hamiltonian, build_m0_basis
+from ptfidelity.xxz import (
+    XxzParams,
+    build_hamiltonian,
+    build_m0_basis,
+    ground_state,
+)
+
+
+class CountingOperator:
+    """Matrix-vector product that counts how often the solver applies it."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.calls = 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.matrix @ v
 
 
 def test_real_tridiagonal_smallest_eigenvalue():
@@ -78,3 +98,84 @@ def test_seed_vector_determinism():
     r2 = complex_symmetric_lanczos(A, 29, rng=rng2)
     assert r1.eigenvalue == r2.eigenvalue
     assert np.array_equal(r1.vector, r2.vector)
+
+
+def test_iterations_account_for_every_krylov_matvec(caplog):
+    # a quasi-null seed forces a reseed, and a linear spectrum of 300 levels
+    # needs more Krylov steps than one cycle holds
+    d = np.linspace(0.0, 1.0, 300) + 0.01j * np.sin(np.arange(300))
+    op = CountingOperator(np.diag(d))
+    seed = np.zeros(300, dtype=complex)
+    seed[:2] = (1.0, 1j)
+    with caplog.at_level(logging.DEBUG, logger="ptfidelity.lanczos"):
+        res = complex_symmetric_lanczos(op, 300, v0=seed, max_iter=600,
+                                        rng=np.random.default_rng(9))
+    assert abs(res.eigenvalue - d[0]) < 1e-10
+    assert res.restarts >= 2
+    # every matvec beyond the Krylov steps is a true-residual check, and
+    # there is at most one per Ritz interval plus one per cycle
+    checks = op.calls - res.iterations
+    assert 1 <= checks <= res.iterations // 10 + res.restarts + 1
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == res.restarts
+    assert "quasi-null" in messages[0]
+    assert any("krylov-cap" in m for m in messages[1:])
+
+
+def test_converged_solve_logs_nothing(caplog):
+    basis = build_m0_basis(10)
+    H = build_hamiltonian(XxzParams(jz=1.0, gamma=0.1, L=10), basis)
+    with caplog.at_level(logging.DEBUG, logger="ptfidelity.lanczos"):
+        res = complex_symmetric_lanczos(H, basis.size,
+                                        rng=np.random.default_rng(0))
+    assert res.restarts == 0
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("L", [10, 12])
+@pytest.mark.parametrize("gamma", [0.05, 0.1, 0.3])
+def test_seed_independent_cost_and_ground_state(L, gamma):
+    basis = build_m0_basis(L)
+    p = XxzParams(jz=1.0, gamma=gamma, L=L)
+    H = build_hamiltonian(p, basis)
+    w = np.linalg.eigvals(H.to_dense())
+    ref = w[ground_state_index(w)]
+    counts, classes = [], set()
+    for seed in range(100):
+        op = CountingOperator(H)
+        g = ground_state(p, basis=basis, matrix=op, seed=seed)
+        counts.append(op.calls)
+        classes.add(g.pt_class)
+        assert abs(g.energy.real - ref.real) < 1e-10
+        assert abs(abs(g.energy.imag) - abs(ref.imag)) < 1e-10
+    assert max(counts) <= 3 * np.median(counts)
+    assert len(classes) == 1
+
+
+# Jz=1 sector EPs in gamma: 0.6470, 0.3455, 0.2223, 0.1580, 0.1196, 0.0945,
+# 0.0771 for L=4..16; each size is probed below and above its EP
+@pytest.mark.parametrize("L,gamma,pt_class", [
+    (4, 0.52, "unbroken"), (4, 0.81, "broken"),
+    (6, 0.28, "unbroken"), (6, 0.43, "broken"),
+    (8, 0.18, "unbroken"), (8, 0.28, "broken"),
+    (10, 0.13, "unbroken"), (10, 0.2, "broken"),
+    (12, 0.095, "unbroken"), (12, 0.15, "broken"),
+    (14, 0.075, "unbroken"), (14, 0.12, "broken"),
+    (16, 0.062, "unbroken"), (16, 0.096, "broken"),
+])
+def test_ground_state_matches_oracle_every_sector(L, gamma, pt_class):
+    basis = build_m0_basis(L)
+    p = XxzParams(jz=1.0, gamma=gamma, L=L)
+    H = build_hamiltonian(p, basis)
+    if basis.size <= 924:
+        w = np.linalg.eigvals(H.to_dense())
+    else:
+        w = spla.eigs(H.matrix, k=6, which="SR", tol=0,
+                      v0=np.ones(basis.size, dtype=complex),
+                      return_eigenvectors=False)
+    ref = w[ground_state_index(w)]
+    g = ground_state(p, basis=basis, matrix=H, seed=L)
+    assert abs(g.energy.real - ref.real) < 1e-10
+    assert abs(abs(g.energy.imag) - abs(ref.imag)) < 1e-10
+    assert (abs(ref.imag) > 1e-8) == (pt_class == "broken")
+    assert g.pt_class == pt_class

@@ -18,12 +18,13 @@ from .errors import ConfigError, PtfidelityError
 from .fidelity import FIDELITY_TAGS, bisect_ep, one_half_ep_test
 from .ssh import (
     SshParams,
+    band_discriminant,
     band_point,
     chi_k_metricized,
     complex_berry_phase,
+    lower_band_fidelities,
     many_body_fidelity,
     open_boundary_spectrum,
-    single_particle_states,
 )
 from .sweep import (
     Axis,
@@ -204,8 +205,6 @@ def cmd_ep_locate(args) -> int:
         # a finite-size SSH exceptional point is a parameter value where a
         # grid momentum crosses its EP, i.e. the count of imaginary-energy
         # momenta jumps (the unbroken->broken transition is count 0 -> 2)
-        from .ssh import band_discriminant
-
         def n_broken(v1):
             p = SshParams(v1=v1, v2=args.v2, u=args.u, L=args.L)
             return int(np.sum(band_discriminant(p.momenta(), p) < 0))
@@ -225,21 +224,14 @@ def cmd_ep_locate(args) -> int:
                                   epsilon_schedule=schedule,
                                   a=args.a, b=args.b, fidelity_fn=fid_fn)
         # per-momentum one-half report at the crossing momenta
-        pmid = SshParams(v1=0.5 * (blo + bhi), v2=args.v2, u=args.u, L=args.L)
-        crossing = []
         pa = SshParams(v1=blo - schedule[-1], v2=args.v2, u=args.u, L=args.L)
         pb = SshParams(v1=bhi + schedule[-1], v2=args.v2, u=args.u, L=args.L)
-        from .fidelity import metricized_fidelity
-        for m, k in enumerate(pmid.momenta()):
-            da = band_point(k, pa).delta
-            db = band_point(k, pb).delta
-            if (da > 0) != (db > 0):
-                sa = single_particle_states(k, pa)
-                sb = single_particle_states(k, pb)
-                fk = metricized_fidelity(sa.left_minus, sa.right_minus,
-                                         sb.left_minus, sb.right_minus)
-                crossing.append({"m": m, "k": k,
-                                 "re_f_k": fk.real, "im_f_k": fk.imag})
+        ks = pa.momenta()
+        crosses = (band_discriminant(ks, pa) > 0) != (band_discriminant(ks, pb) > 0)
+        f_k = lower_band_fidelities(pa, pb)
+        crossing = [{"m": int(m), "k": float(ks[m]),
+                     "re_f_k": f_k[m].real, "im_f_k": f_k[m].imag}
+                    for m in np.flatnonzero(crosses)]
     else:
         base = XxzParams(jz=args.jz, gamma=args.gamma, L=args.L)
 

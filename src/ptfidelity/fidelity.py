@@ -31,14 +31,17 @@ def _check_dims(*vectors):
         raise DimensionMismatchError(f"mixed vector shapes {sorted(dims)}")
 
 
-def metricized_fidelity(left_a, right_a, left_b, right_b) -> complex:
+def _dot(a, b):  # unconjugated pairing over the last axis, one value per row
+    return np.einsum("...i,...i->...", a, b)
+
+
+def metricized_fidelity(left_a, right_a, left_b, right_b):
     """``<L_a|R_b> <L_b|R_a>`` between biorthonormalized state pairs.
 
     Exactly invariant under per-state phase rotations (a phase applied to
     a right vector is compensated by its own left covector).
     """
-    _check_dims(left_a, right_a, left_b, right_b)
-    return complex(np.dot(left_a, right_b) * np.dot(left_b, right_a))
+    return fidelity_variant("metricized", left_a, right_a, left_b, right_b)
 
 
 def fidelity_variant(tag, left_a, right_a, left_b, right_b):
@@ -46,21 +49,25 @@ def fidelity_variant(tag, left_a, right_a, left_b, right_b):
 
     ``metricized`` and ``LR-sqrt`` are complex; ``RR`` is guaranteed real
     in [0, 1] by self-normalization; the ``LR-half-sum`` and
-    ``LR-sqrt-abs`` variants are nonnegative reals.
+    ``LR-sqrt-abs`` variants are nonnegative reals.  Every tag reduces over
+    the last axis: stacked ``(n, dim)`` rows give ``n`` values.
     """
     _check_dims(left_a, right_a, left_b, right_b)
+    ab, ba = _dot(left_a, right_b), _dot(left_b, right_a)
+    metricized = np.multiply(ab, ba, dtype=complex)
     if tag == "metricized":
-        return metricized_fidelity(left_a, right_a, left_b, right_b)
-    if tag == "RR":
-        ov = np.vdot(right_a, right_b)  # conventional conjugating product
-        return float(abs(ov) ** 2)
-    if tag == "LR-half-sum":
-        return float(0.5 * abs(np.dot(left_a, right_b) + np.conj(np.dot(left_b, right_a))))
-    if tag == "LR-sqrt-abs":
-        return float(np.sqrt(abs(metricized_fidelity(left_a, right_a, left_b, right_b))))
-    if tag == "LR-sqrt":
-        return complex(np.sqrt(metricized_fidelity(left_a, right_a, left_b, right_b)))
-    raise ValueError(f"unknown fidelity tag {tag!r}; expected one of {FIDELITY_TAGS}")
+        F = metricized
+    elif tag == "RR":
+        F = np.abs(_dot(np.conj(right_a), right_b)) ** 2  # conjugating product
+    elif tag == "LR-half-sum":
+        F = 0.5 * np.abs(ab + np.conj(ba))
+    elif tag == "LR-sqrt-abs":
+        F = np.sqrt(np.abs(metricized))
+    elif tag == "LR-sqrt":
+        F = np.sqrt(metricized)
+    else:
+        raise ValueError(f"unknown fidelity tag {tag!r}; expected one of {FIDELITY_TAGS}")
+    return F.item() if np.ndim(F) == 0 else F
 
 
 def chi_finite_difference(F, epsilon: float) -> complex:

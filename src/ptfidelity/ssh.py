@@ -5,12 +5,14 @@ Per-momentum Bloch matrices ``[[iu, eta], [conj(eta), -iu]]`` with
 both signs of the band discriminant, analytic susceptibilities, EP
 geometry, open-boundary spectra, and the complex Berry phase.  Left
 states are returned as covectors (conjugate of the analytic left kets),
-so every pairing is a plain dot product.
+so every pairing is a plain dot product.  Grid sums and products are
+evaluated stacked over the whole momentum grid; ``band_point``,
+``single_particle_states`` and ``chi_k_*`` are scalar views at one k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,6 +23,7 @@ from .errors import (
     DimTooLargeError,
     GridCrossesEPError,
 )
+from .fidelity import fidelity_variant
 
 GOLDEN_V2 = 0.5 * (1.0 + np.sqrt(5.0))
 
@@ -272,45 +275,52 @@ class ChiTotal:
     per_k: np.ndarray
 
 
+def _grid_discriminants(*params: SshParams) -> list[np.ndarray]:
+    """``Delta_k`` on the shared momentum grid of every parameter set;
+    raises at the first grid momentum that is exceptional for any of them."""
+    ks = params[0].momenta()
+    deltas = [band_discriminant(ks, p) for p in params]
+    bad = np.any([np.abs(d) < p.tol_delta for d, p in zip(deltas, params)], axis=0)
+    if np.any(bad):
+        m = int(np.argmax(bad))
+        raise AtExceptionalMomentumError(
+            f"grid momentum m={m} (k={ks[m]:.6f}) is exceptional",
+            momentum_index=m, k=float(ks[m]))
+    return deltas
+
+
+def lower_band_fidelities(pa: SshParams, pb: SshParams,
+                          definition_tag: str = "metricized") -> np.ndarray:
+    """Per-momentum lower-band fidelities ``f_k`` between two parameter
+    sets on the same momentum grid, evaluated stacked over the grid."""
+    if pa.L != pb.L:
+        raise ValueError(f"momentum grids differ (L={pa.L} and L={pb.L})")
+    _grid_discriminants(pa, pb)
+    ks = pa.momenta()
+    left_a, right_a, _ = _states_arrays(ks, pa, -1)
+    left_b, right_b, _ = _states_arrays(ks, pb, -1)
+    return fidelity_variant(definition_tag, left_a, right_a, left_b, right_b)
+
+
 def many_body_fidelity(p: SshParams, v1_a: float, v1_b: float,
                        definition_tag: str = "metricized") -> ManyBodyFidelity:
     """Half-filled many-body fidelity between two v1 values.
 
     The ground state is the product of the lower-band states over the
     finite momentum grid, so the fidelity factorizes into per-momentum
-    contributions ``f_k``.
+    contributions ``f_k``, evaluated stacked over the grid.
     """
-    from .fidelity import fidelity_variant
-
-    pa = SshParams(v1=v1_a, v2=p.v2, u=p.u, w=p.w, L=p.L)
-    pb = SshParams(v1=v1_b, v2=p.v2, u=p.u, w=p.w, L=p.L)
-    ks = p.momenta()
-    per_k = np.empty(len(ks), dtype=complex)
-    for m, k in enumerate(ks):
-        try:
-            sa = single_particle_states(k, pa)
-            sb = single_particle_states(k, pb)
-        except AtExceptionalMomentumError as err:
-            raise AtExceptionalMomentumError(
-                f"grid momentum m={m} (k={k:.6f}) is exceptional",
-                momentum_index=m, k=float(k)) from err
-        per_k[m] = fidelity_variant(
-            definition_tag, sa.left_minus, sa.right_minus,
-            sb.left_minus, sb.right_minus)
-    return ManyBodyFidelity(value=complex(np.prod(per_k)), momenta=ks, per_k=per_k)
+    per_k = lower_band_fidelities(replace(p, v1=v1_a), replace(p, v1=v1_b),
+                                  definition_tag)
+    return ManyBodyFidelity(value=complex(np.prod(per_k)), momenta=p.momenta(),
+                            per_k=per_k)
 
 
 def chi_total(p: SshParams) -> ChiTotal:
     """Sum of the closed-form per-momentum susceptibilities on the grid."""
     ks = p.momenta()
-    per_k = np.empty(len(ks))
-    for m, k in enumerate(ks):
-        try:
-            per_k[m] = chi_k_metricized(k, p)
-        except AtExceptionalMomentumError as err:
-            raise AtExceptionalMomentumError(
-                f"grid momentum m={m} (k={k:.6f}) is exceptional",
-                momentum_index=m, k=float(k)) from err
+    (delta,) = _grid_discriminants(p)
+    per_k = chi_k_numerator(ks, p) / (4 * delta**2)
     return ChiTotal(value=float(per_k.sum()), momenta=ks, per_k=per_k)
 
 

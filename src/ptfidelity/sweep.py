@@ -26,7 +26,7 @@ from .fidelity import (
     chi_finite_difference,
     fidelity_variant,
 )
-from .ssh import SshParams, band_discriminant, chi_total, single_particle_states
+from .ssh import SshParams, chi_total, ground_state_pt_class, lower_band_fidelities
 from .xxz import XxzParams, build_hamiltonian, build_m0_basis, ground_state
 
 SCHEMA_VERSION = 1
@@ -265,22 +265,13 @@ class _SshEvaluator:
         shifted[scan_axis] = shifted[scan_axis] + cfg.epsilon
         pb = self._params(shifted)
 
-        da = band_discriminant(pa.momenta(), pa)
-        db = band_discriminant(pb.momenta(), pb)
-        point.pt_class_a = "broken" if np.any(da < 0) else "unbroken"
-        point.pt_class_b = "broken" if np.any(db < 0) else "unbroken"
-
-        F = 1.0 + 0j
-        for k in pa.momenta():
-            sa = single_particle_states(k, pa)
-            sb = single_particle_states(k, pb)
-            F *= fidelity_variant(cfg.definition, sa.left_minus, sa.right_minus,
-                                  sb.left_minus, sb.right_minus)
-        point.F = complex(F)
+        point.pt_class_a = ground_state_pt_class(pa)
+        point.pt_class_b = ground_state_pt_class(pb)
+        point.F = complex(np.prod(lower_band_fidelities(pa, pb, cfg.definition)))
         if cfg.definition == "metricized" and scan_axis == "v1":
             point.chi = complex(chi_total(pa).value)
         else:
-            point.chi = chi_finite_difference(F, cfg.epsilon)
+            point.chi = chi_finite_difference(point.F, cfg.epsilon)
         point.re_chi_density = point.chi.real / self.L
 
 

@@ -17,12 +17,14 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import lu_factor, lu_solve
 
 from .biortho import SparseComplexSymmetricMatrix, ground_state_index
 from .errors import (
     BasisCapExceededError,
     DimTooLargeError,
     InsufficientSizesError,
+    NoConvergenceError,
     OddLError,
 )
 from .fidelity import DEFAULT_EPSILON, FidelityRecord, chi_finite_difference, fidelity_variant
@@ -178,6 +180,27 @@ def _covector(right: np.ndarray) -> tuple[np.ndarray, float]:
     return right / q, float(abs(q))
 
 
+def _inverse_iteration(H: np.ndarray, energy: complex) -> tuple[np.ndarray, float]:
+    """Unit eigenvector of dense ``H`` for its computed eigenvalue ``energy``.
+
+    A few inverse-iteration solves with the LU factors of ``H - energy I``
+    from a fixed start vector; raises when the final residual
+    ``|H x - energy x|`` exceeds ``1e-10 |H|_1``.
+    """
+    shifted = H.copy()
+    shifted.flat[::len(H) + 1] -= energy
+    lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
+    x = np.random.default_rng(0).standard_normal(len(H)).astype(complex)
+    for _ in range(3):
+        x = lu_solve(lu, x, check_finite=False)
+        x /= np.linalg.norm(x)
+    residual = float(np.linalg.norm(H @ x - energy * x))
+    if not residual <= 1e-10 * np.linalg.norm(H, 1):     # NaN fails too
+        raise NoConvergenceError(
+            f"dense inverse iteration left residual {residual:.3e} at E={energy}")
+    return x, residual
+
+
 def ground_state(
     p: XxzParams,
     *,
@@ -194,8 +217,9 @@ def ground_state(
 
     The deterministic selection rule (smallest real part, then largest
     imaginary part) picks one fixed member of the PT pair in the broken
-    phase.  ``method="dense"`` runs full diagonalization and serves as
-    the oracle path for small sectors.  For ``method="lanczos"``,
+    phase.  ``method="dense"`` takes the eigenvalue from the full dense
+    spectrum and its vector from inverse iteration; it serves as the
+    oracle path for small sectors.  For ``method="lanczos"``,
     ``max_iter`` is the total Krylov-step budget summed over all restarts
     of the solve, and ``seed`` seeds the start vector and every reseed
     after a quasi-null breakdown (see ``complex_symmetric_lanczos``).
@@ -219,14 +243,12 @@ def ground_state(
             raise DimTooLargeError(
                 f"sector dim {basis.size} exceeds dense cap {DENSE_SECTOR_CAP}"
             )
-        w, V = np.linalg.eig(matrix.to_dense())
-        gi = ground_state_index(w)
-        energy = complex(w[gi])
-        right = V[:, gi]
-        right = right / np.linalg.norm(right)
+        H = matrix.to_dense()
+        w = np.linalg.eigvals(H)
+        energy = complex(w[ground_state_index(w)])
+        right, residual = _inverse_iteration(H, energy)
         pivot = int(np.argmax(np.abs(right)))
         right = right * (abs(right[pivot]) / right[pivot])
-        residual = 0.0
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -231,6 +231,13 @@ class TestManyBody:
             chi_total(p)
         assert err.value.momentum_index == 2
 
+    def test_exceptional_momentum_on_second_endpoint(self):
+        # only the v1 = 1 endpoint puts k = pi (m = 2) on its EP
+        with pytest.raises(AtExceptionalMomentumError) as err:
+            many_body_fidelity(SshParams(v1=0.5, u=0.0, L=4), 0.5, 1.0)
+        assert err.value.momentum_index == 2
+        assert err.value.k == pytest.approx(np.pi)
+
 
 class TestEPGeometry:
     def test_v2_zero_closed_form(self):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ptfidelity import ConfigError
+from ptfidelity.fidelity import FIDELITY_TAGS, fidelity_variant
+from ptfidelity.ssh import SshParams, ground_state_pt_class, single_particle_states
 from ptfidelity.sweep import (
     Axis,
     SweepConfig,
@@ -116,6 +118,18 @@ class TestRunSweep:
         assert errs[0] == ""
         assert "AtExceptionalMomentum" in errs[1]
 
+    def test_ssh_shifted_endpoint_error_in_band(self):
+        # v1 + epsilon reaches 1, where k = pi (m = 2 of L = 4) is exceptional
+        cfg = SweepConfig(
+            model="ssh",
+            axes=[Axis(name="v1", start=0.5, stop=0.999, count=2)],
+            fixed={"v2": 0.0, "u": 0.0, "L": 4},
+        )
+        result = run_sweep(cfg)
+        assert result.points[0].error == ""
+        assert result.points[1].error.startswith("AtExceptionalMomentumError")
+        assert "m=2" in result.points[1].error
+
     def test_xxz_interval_candidates(self):
         result = run_sweep(tiny_xxz_config())
         intervals = [c for c in result.ep_candidates if c["kind"] == "interval"]
@@ -156,6 +170,45 @@ class TestRunSweep:
         assert result.peak_table
         assert result.extrapolation is not None
         assert {row["L"] for row in result.peak_table} == {6, 8, 10}
+
+
+# scan axis -> (fixed couplings, axis start/stop/count); each grid crosses
+# the PT transition of the L = 21 ladder, and with epsilon = 0.1 one record
+# per grid straddles it
+SSH_SCANS = {
+    "v1": ({"u": 0.2, "v2": 0.0}, (0.6, 1.0, 5)),
+    "u": ({"v1": 0.9, "v2": 0.0}, (0.05, 0.3, 6)),
+    "v2": ({"v1": 0.7, "u": 0.2}, (0.0, 0.4, 5)),
+}
+
+
+class TestSshStackedSweep:
+    """SSH sweep points against the scalar per-momentum product."""
+
+    @pytest.mark.parametrize("scan", sorted(SSH_SCANS))
+    @pytest.mark.parametrize("tag", FIDELITY_TAGS)
+    def test_every_tag_and_scan_axis(self, tag, scan):
+        fixed, (start, stop, count) = SSH_SCANS[scan]
+        cfg = SweepConfig(model="ssh", axes=[Axis(scan, start, stop, count)],
+                          fixed={**fixed, "L": 21}, definition=tag, epsilon=0.1)
+        result = run_sweep(cfg)
+        classes = set()
+        for point in result.points:
+            assert point.error == ""
+            vals = {**fixed, **point.axis_values}
+            pa = SshParams(L=21, **vals)
+            pb = SshParams(L=21, **{**vals, scan: vals[scan] + cfg.epsilon})
+            want = 1.0 + 0j
+            for k in pa.momenta():
+                sa, sb = single_particle_states(k, pa), single_particle_states(k, pb)
+                want *= fidelity_variant(tag, sa.left_minus, sa.right_minus,
+                                         sb.left_minus, sb.right_minus)
+            assert abs(point.F - want) < 1e-12
+            assert point.pt_class_a == ground_state_pt_class(pa)
+            assert point.pt_class_b == ground_state_pt_class(pb)
+            classes.add(point.pt_class_a)
+        assert classes == {"unbroken", "broken"}
+        assert any("straddle" in p.ep_flag for p in result.points)
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from ptfidelity import (
     BasisCapExceededError,
     DimTooLargeError,
     InsufficientSizesError,
+    NoConvergenceError,
     OddLError,
     ground_state_index,
 )
@@ -146,6 +147,20 @@ class TestGroundState:
         assert abs(gl.energy - gd.energy) < 1e-10
         overlap = abs(np.vdot(gl.right, gd.right))
         assert abs(overlap - 1.0) < 1e-8
+
+    def test_dense_reports_its_residual(self):
+        p = XxzParams(jz=1.0, gamma=0.5, L=8)
+        g = ground_state(p, method="dense")
+        H = build_hamiltonian(p).to_dense()
+        resid = np.linalg.norm(H @ g.right - g.energy * g.right)
+        assert resid == pytest.approx(g.residual, rel=1e-6, abs=1e-15)
+        assert g.residual < 1e-10 * np.linalg.norm(H, 1)
+
+    def test_dense_raises_instead_of_returning_a_bad_vector(self):
+        # jz = 0, gamma = 1, L = 6 sits on a defective ground-state cluster,
+        # where no eigenvector reaches the residual bound
+        with pytest.raises(NoConvergenceError):
+            ground_state(XxzParams(jz=0.0, gamma=1.0, L=6), method="dense")
 
     def test_left_covector_pairing(self):
         g = ground_state(XxzParams(jz=1.0, gamma=0.5, L=8))

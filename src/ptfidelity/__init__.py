@@ -12,6 +12,7 @@ from .biortho import (
     biorthogonal_eig,
     classify_pt,
     dense_full_spectrum,
+    gauge_factor,
     ground_state_index,
     metric_operator,
     pt_partner_state,

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eig
 
 from .errors import (
-    AmbiguousPairingError,
     DefectiveMatrixError,
     DimTooLargeError,
     NotBrokenError,
@@ -46,7 +46,7 @@ class BiorthogonalEigensystem:
     eigenvalues : (n,) complex array, sorted by (Re, Im) ascending.
     right_vectors : (n, n) complex array, column ``[:, k]`` is ``|R_k>``
         with unit conventional norm and its largest-magnitude component
-        rotated to the positive real axis.
+        rotated to the positive real axis (``gauge_factor``).
     left_vectors : (n, n) complex array, row ``[k, :]`` is the covector
         ``<L_k|`` scaled so that ``left[k] @ right[:, k] == 1``.
     condition_flags : (n,) float array, raw overlap magnitude of the
@@ -92,15 +92,18 @@ def ground_state_index(eigenvalues: np.ndarray, re_tie_tol: float | None = None)
     return int(tied[np.argmax(w.imag[tied])])
 
 
-def _cluster_sorted(values: np.ndarray, gap: float) -> list[list[int]]:
-    """Chain consecutive (lexsorted) values closer than ``gap`` into clusters."""
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+def gauge_factor(v: np.ndarray):
+    """Factor ``c`` such that ``v / c`` has unit norm and its largest-magnitude
+    entry real and positive; one factor per column when ``v`` is a matrix.
+
+    Entries within a relative ``1e-8`` of the largest magnitude count as tied
+    and the first of them is taken, so symmetry-equal entries give the same
+    gauge whichever solver produced the vector.
+    """
+    mag = np.abs(v)
+    first = np.argmax(mag >= (1 - 1e-8) * mag.max(axis=0), axis=0)
+    pivot = np.take_along_axis(v, np.expand_dims(first, 0), 0)[0]
+    return np.linalg.norm(mag, axis=0) * (pivot / np.abs(pivot))
 
 
 def biorthogonal_eig(
@@ -111,20 +114,19 @@ def biorthogonal_eig(
 ) -> BiorthogonalEigensystem:
     """Biorthogonally normalized eigensystem of a complex square matrix.
 
-    Right vectors come from an eigendecomposition of ``H``, left covectors
-    from an eigendecomposition of ``H.T`` (unconjugated transpose, so the
-    covectors satisfy the left eigenvalue equation directly).  The two
-    spectra are matched by eigenvalue proximity; clusters of (numerically)
-    equal eigenvalues are re-biorthogonalized as a block, which keeps the
-    pairing well defined for diagonalizable matrices with exact symmetry
-    degeneracies.
+    One LAPACK call (``scipy.linalg.eig`` with ``left=True``) returns each
+    eigenvalue with its left and right eigenvectors already paired.
+    Eigenvalues chained within ``tol_pair`` (by real part, then by imaginary
+    part inside each real-part run) form a cluster, re-biorthogonalized as a
+    block, which keeps the pairing well defined for diagonalizable matrices
+    with exact symmetry degeneracies.
 
     Parameters
     ----------
     H : (n, n) array_like
     ep_guard : raw-overlap floor below which the matrix is reported as
         defective (at or numerically at an exceptional point).
-    tol_pair : eigenvalue matching tolerance; default ``1e-8`` times the
+    tol_pair : eigenvalue clustering tolerance; default ``1e-8`` times the
         spectral radius.
 
     Raises
@@ -132,75 +134,47 @@ def biorthogonal_eig(
     DefectiveMatrixError
         If any pair's raw overlap (block smallest singular value) is below
         ``ep_guard``.
-    AmbiguousPairingError
-        If the left spectrum cannot be matched one-to-one to the right
-        spectrum within ``tol_pair``.
     """
     H = _as_square_complex(H)
-    n = H.shape[0]
+    w, left, right = eig(H, left=True, check_finite=False)
 
-    w_r, v_r = np.linalg.eig(H)
-    w_l, v_l = np.linalg.eig(H.T)
+    order = np.lexsort((w.imag, w.real))
+    w = w[order]
+    right = right[:, order]                       # unit columns from LAPACK
+    left = left.T[order]                          # unit rows once conjugated
+    np.conjugate(left, out=left)
 
-    order = np.lexsort((w_r.imag, w_r.real))
-    w_r = w_r[order]
-    v_r = v_r[:, order]
-
-    scale = max(float(np.abs(w_r).max()), 1e-300)
     if tol_pair is None:
-        tol_pair = 1e-8 * scale
+        tol_pair = 1e-8 * max(float(np.abs(w).max()), 1e-300)
+    runs = np.split(np.arange(len(w)), np.nonzero(np.diff(w.real) > tol_pair)[0] + 1)
+    blocks = []
+    for run in runs:
+        run = run[np.argsort(w.imag[run], kind="stable")]
+        chains = np.split(run, np.nonzero(np.diff(w.imag[run]) > tol_pair)[0] + 1)
+        blocks += [(c, left[c] @ right[:, c]) for c in chains if len(c) > 1]
 
-    clusters = _cluster_sorted(w_r, tol_pair)
-    centroids = np.array([w_r[c].mean() for c in clusters])
+    overlap = np.einsum("ij,ji->i", left, right)  # raw <L_k|R_k> of unit vectors
+    flags = np.abs(overlap)
+    for c, B in blocks:
+        flags[c] = np.linalg.svd(B, compute_uv=False)[-1]
+        overlap[c] = 1.0
+    bad = np.nonzero(flags < ep_guard)[0]
+    if bad.size:
+        k = bad[0]
+        raise DefectiveMatrixError(
+            f"raw biorthogonal overlap {flags[k]:.3e} below ep_guard "
+            f"{ep_guard:.3e} near eigenvalue {w[k]}: matrix is at "
+            "(or numerically at) an exceptional point"
+        )
+    left /= overlap[:, None]
+    for c, B in blocks:
+        left[c] = np.linalg.solve(B, left[c])
 
-    # assign every left eigenvalue to the nearest right cluster
-    assignment: list[list[int]] = [[] for _ in clusters]
-    for i in range(n):
-        dists = np.abs(centroids - w_l[i])
-        j = int(np.argmin(dists))
-        radius = float(np.abs(w_r[clusters[j]] - centroids[j]).max())
-        if dists[j] > tol_pair + radius:
-            raise AmbiguousPairingError(
-                f"left eigenvalue {w_l[i]} has no right partner within "
-                f"{tol_pair:.3e} (nearest distance {dists[j]:.3e})"
-            )
-        assignment[j].append(i)
-
-    for c, a in zip(clusters, assignment):
-        if len(c) != len(a):
-            raise AmbiguousPairingError(
-                "left/right spectra do not match one-to-one within tol_pair "
-                f"(cluster at {w_r[c[0]]} has {len(c)} right but {len(a)} left members)"
-            )
-
-    left = np.empty((n, n), dtype=complex)
-    flags = np.empty(n, dtype=float)
-    for c, a in zip(clusters, assignment):
-        r_block = v_r[:, c]                       # unit columns from LAPACK
-        l_rows = v_l[:, a].T                      # unit rows
-        B = l_rows @ r_block
-        sigma_min = float(np.linalg.svd(B, compute_uv=False)[-1])
-        flags[c] = sigma_min
-        if sigma_min < ep_guard:
-            raise DefectiveMatrixError(
-                f"raw biorthogonal overlap {sigma_min:.3e} below ep_guard "
-                f"{ep_guard:.3e} near eigenvalue {w_r[c[0]]}: matrix is at "
-                "(or numerically at) an exceptional point"
-            )
-        left[c, :] = np.linalg.solve(B, l_rows)
-
-    right = v_r.copy()
-    for k in range(n):
-        r = right[:, k]
-        norm = np.linalg.norm(r)
-        pivot = int(np.argmax(np.abs(r)))
-        phase = r[pivot] / abs(r[pivot])
-        c = norm * phase
-        right[:, k] = r / c
-        left[k, :] = left[k, :] * c
-
+    c = gauge_factor(right)
+    right /= c
+    left *= c[:, None]
     return BiorthogonalEigensystem(
-        eigenvalues=w_r,
+        eigenvalues=w,
         right_vectors=right,
         left_vectors=left,
         condition_flags=flags,

@@ -15,7 +15,10 @@ class DefectiveMatrixError(PtfidelityError):
 
 
 class AmbiguousPairingError(PtfidelityError):
-    """Left and right spectra cannot be matched bijectively within tolerance."""
+    """Left and right spectra cannot be matched bijectively within tolerance.
+
+    ``biorthogonal_eig`` no longer raises it: LAPACK returns each eigenvalue
+    with its left and right vectors already paired."""
 
 
 class UnpairableSpectrumError(PtfidelityError):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .biortho import gauge_factor, ground_state_index
 from .errors import NoConvergenceError, QuasiNullBreakdownError
 
 # Krylov vectors kept per cycle: large enough that the sector ground states
@@ -48,19 +49,6 @@ def _resolve_apply(matrix):
 
 def _bilinear(u, v):
     return np.dot(u, v)  # no conjugation
-
-
-def _phase_fix(x):
-    pivot = int(np.argmax(np.abs(x)))
-    return x / (np.linalg.norm(x) * x[pivot] / abs(x[pivot]))
-
-
-def _pick_target(theta, re_tie_tol):
-    """Smallest-Re Ritz value; ties resolved toward larger Im so the +Im
-    member of a PT pair is returned deterministically."""
-    re_min = theta.real.min()
-    tied = np.nonzero(theta.real <= re_min + re_tie_tol)[0]
-    return int(tied[np.argmax(theta.imag[tied])])
 
 
 def complex_symmetric_lanczos(
@@ -188,14 +176,13 @@ def _cycle(apply, seed, basis, T, budget, tol_resid, breakdown_guard,
         last = invariant or m == m_cap or m == budget
         if last or m % ritz_interval == 0:
             theta, Y = np.linalg.eig(T[:m, :m])
-            t = _pick_target(theta, 1e-8 * max(1.0, np.abs(theta).max()))
+            t = ground_state_index(theta)
             # cheap residual estimate ||w|| * |y_m| before forming the vector
             if last or nw * abs(Y[m - 1, t]) <= tol_resid:
                 x = basis[:m].T @ Y[:, t]
-                x = x / np.linalg.norm(x)
+                x = x / gauge_factor(x)
                 resid = float(np.linalg.norm(apply(x) - theta[t] * x))
-                result = LanczosResult(complex(theta[t]), _phase_fix(x),
-                                       resid, 0, 0)
+                result = LanczosResult(complex(theta[t]), x, resid, 0, 0)
                 if resid <= tol_resid:
                     return "converged", m, result
                 if invariant:

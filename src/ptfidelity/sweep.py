@@ -239,6 +239,7 @@ class SweepResult:
     extrapolation: dict | None
     provenance: dict
     schema_version: int = SCHEMA_VERSION
+    model: str = ""
 
 
 def _point_seed(base: int, linear_index: int) -> int:
@@ -280,6 +281,7 @@ class _XxzEvaluator:
         self.cfg = cfg
         self.L = L
         self.basis = build_m0_basis(L)
+        self.shape = tuple(ax.count for ax in cfg.axes)
 
     def _params(self, vals: dict[str, float]) -> XxzParams:
         merged = {**self.cfg.fixed, **vals}
@@ -294,7 +296,7 @@ class _XxzEvaluator:
         shifted[scan_axis] = shifted[scan_axis] + cfg.epsilon
         pb = self._params(shifted)
 
-        base = _point_seed(cfg.seed, _linear_index(point.index))
+        base = _point_seed(cfg.seed, np.ravel_multi_index(point.index, self.shape))
         ma = build_hamiltonian(pa, self.basis)
         mb = build_hamiltonian(pb, self.basis)
         ga = ground_state(pa, basis=self.basis, matrix=ma, seed=base,
@@ -333,14 +335,6 @@ class _DenseFileEvaluator:
         point.chi = chi_finite_difference(F, cfg.epsilon)
         point.re_chi_density = point.chi.real / self.L
         point.pt_class_a, point.pt_class_b = ca, cb
-
-
-def _linear_index(index: tuple[int, ...]) -> int:
-    # canonical positional encoding; axis counts stay far below the base
-    lin = 0
-    for i in index:
-        lin = lin * 100000 + i
-    return lin
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -477,6 +471,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         peak_table=peak_table,
         extrapolation=extrapolation,
         provenance=provenance,
+        model=cfg.model,
     )
 
 
@@ -486,11 +481,6 @@ def _fmt(x: float) -> str:
 
 def write_csv(result: SweepResult, stream: io.TextIOBase) -> None:
     """Fixed-column CSV; floats carry 17 significant digits."""
-    model = "?"
-    for line in result.config_text.splitlines():
-        if line.strip().startswith("model"):
-            model = line.split("=", 1)[1].strip()
-            break
     header = (["model", "L"] + list(result.axis_names)
               + ["epsilon", "definition", "re_F", "im_F", "re_chi", "im_chi",
                  "re_chi_density", "pt_class_a", "pt_class_b", "ep_flag", "error"])
@@ -498,7 +488,7 @@ def write_csv(result: SweepResult, stream: io.TextIOBase) -> None:
     epsilon = result.provenance["epsilon"]
     definition = result.provenance["definition"]
     for p in result.points:
-        row = [model, str(p.L)]
+        row = [result.model, str(p.L)]
         row += [_fmt(p.axis_values[name]) for name in result.axis_names]
         row += [_fmt(epsilon), definition,
                 _fmt(p.F.real), _fmt(p.F.imag),
@@ -516,6 +506,7 @@ def _complex_dict(z: complex) -> dict:
 def result_to_dict(result: SweepResult) -> dict:
     return {
         "schema_version": result.schema_version,
+        "model": result.model,
         "config_text": result.config_text,
         "axis_names": list(result.axis_names),
         "provenance": dict(result.provenance),
@@ -567,6 +558,7 @@ def result_from_dict(data: dict) -> SweepResult:
         extrapolation=data["extrapolation"],
         provenance=data["provenance"],
         schema_version=data["schema_version"],
+        model=data.get("model", ""),
     )
 
 

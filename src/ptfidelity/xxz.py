@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import lu_factor, lu_solve
 
-from .biortho import SparseComplexSymmetricMatrix, ground_state_index
+from .biortho import SparseComplexSymmetricMatrix, gauge_factor, ground_state_index
 from .errors import (
     BasisCapExceededError,
     DimTooLargeError,
@@ -247,8 +247,7 @@ def ground_state(
         w = np.linalg.eigvals(H)
         energy = complex(w[ground_state_index(w)])
         right, residual = _inverse_iteration(H, energy)
-        pivot = int(np.argmax(np.abs(right)))
-        right = right * (abs(right[pivot]) / right[pivot])
+        right = right / gauge_factor(right)
     else:
         raise ValueError(f"unknown method {method!r}")
 

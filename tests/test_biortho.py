@@ -76,6 +76,20 @@ class TestBiorthogonalEig:
             assert abs(r[pivot].imag) < 1e-12
             assert r[pivot].real > 0
 
+    @pytest.mark.parametrize("L, gamma", [(10, 0.1), (10, 0.2), (8, 0.5)])
+    def test_xxz_sector_biorthonormal(self, L, gamma):
+        # PT multiplets whose real parts agree to rounding interleave in the
+        # (Re, Im) order; each must still be re-biorthogonalized as one block
+        from ptfidelity.xxz import XxzParams, build_hamiltonian
+
+        H = build_hamiltonian(XxzParams(jz=1.0, gamma=gamma, L=L)).to_dense()
+        es = biorthogonal_eig(H)
+        n = len(H)
+        assert np.abs(es.overlap_matrix() - np.eye(n)).max() < 1e-9
+        assert es.completeness_defect() < 1e-8
+        L_rows = es.left_vectors
+        assert np.abs(L_rows @ H - es.eigenvalues[:, None] * L_rows).max() < 1e-9
+
     def test_pt_spectrum_closed_under_conjugation(self, rng):
         for n in (6, 11, 20):
             H = random_pt_matrix(n, rng)

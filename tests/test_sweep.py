@@ -248,6 +248,15 @@ class TestEmit:
         assert len(lines) == 1
         assert lines[0].startswith("model,L,v1,epsilon,definition,re_F")
 
+    def test_model_column_ignores_model_like_keys(self):
+        text = SSH_CONFIG.replace("model = ssh", "model_note = baseline\nmodel = ssh")
+        result = run_sweep(parse_config(text))
+        buf = io.StringIO()
+        write_csv(result, buf)
+        rows = buf.getvalue().splitlines()[1:]
+        assert rows and all(row.split(",")[0] == "ssh" for row in rows)
+        assert result_from_dict(result_to_dict(result)).model == "ssh"
+
     def test_csv_columns(self):
         result = run_sweep(parse_config(SSH_CONFIG))
         buf = io.StringIO()

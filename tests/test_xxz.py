@@ -7,6 +7,7 @@ from ptfidelity import (
     InsufficientSizesError,
     NoConvergenceError,
     OddLError,
+    biorthogonal_eig,
     ground_state_index,
 )
 from ptfidelity.fidelity import FidelityRecord
@@ -161,6 +162,19 @@ class TestGroundState:
         # where no eigenvector reaches the residual bound
         with pytest.raises(NoConvergenceError):
             ground_state(XxzParams(jz=0.0, gamma=1.0, L=6), method="dense")
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5])
+    def test_one_gauge_across_solvers(self, gamma):
+        # unit norm, largest-magnitude entry real and positive on every path;
+        # at gamma=0.1 two symmetry-equal largest entries differ in phase,
+        # so the tie rule must agree across solvers too
+        p = XxzParams(jz=1.0, gamma=gamma, L=8)
+        gl = ground_state(p, method="lanczos")
+        gd = ground_state(p, method="dense")
+        es = biorthogonal_eig(build_hamiltonian(p).to_dense())
+        rb = es.right_vectors[:, es.ground_index()]
+        assert np.abs(gl.right - gd.right).max() < 1e-8
+        assert np.abs(gl.right - rb).max() < 1e-8
 
     def test_left_covector_pairing(self):
         g = ground_state(XxzParams(jz=1.0, gamma=0.5, L=8))

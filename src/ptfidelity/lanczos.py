@@ -6,7 +6,9 @@ equal to their plain transpose (the three-term recurrence of Cullum and
 Willoughby).  Each step reorthogonalizes fully against the current basis
 and enters those coefficients into a dense projected matrix ``T``, so
 ``H V = V T + w e_m^T`` holds to rounding and Rayleigh-Ritz on ``T`` keeps
-its accuracy as the basis grows.  A cycle keeps at most ``KRYLOV_CAP``
+its accuracy as the basis grows.  Every ``RITZ_INTERVAL`` steps the Ritz
+values come from ``eigvals(T)``; only the wanted Ritz vector is formed, by
+inverse iteration on ``T - theta I``.  A cycle keeps at most ``KRYLOV_CAP``
 Krylov vectors (memory ``KRYLOV_CAP + 1`` vectors of the matrix dimension)
 and restarts from its best Ritz vector when it reaches that size or when
 the true residual stops halving between two extractions.
@@ -18,14 +20,21 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .biortho import gauge_factor, ground_state_index
 from .errors import NoConvergenceError, QuasiNullBreakdownError
 
 # Krylov vectors kept per cycle: large enough that the sector ground states
-# of the XXZ ring converge in one or two cycles up to L=20, small enough that
-# eig of the projected matrix stays cheap next to a sparse matvec
+# of the XXZ ring converge in one or two cycles up to L=20.  A Ritz
+# extraction costs O(m^3) on the dense m x m projection, and it is not cheap
+# next to a sparse matvec: at m=40, eig takes 1.6 ms and eigvals 0.9 ms,
+# while one L=10 sector matvec takes 6 us (one core of a shared 2-vCPU host,
+# OpenBLAS on one thread).  For small sectors the extractions, not the
+# matvecs, set the cost of a solve
 KRYLOV_CAP = 80
+# Krylov steps between Ritz extractions
+RITZ_INTERVAL = 10
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +46,7 @@ class LanczosResult:
     residual: float             # ||H x - E x||_2
     iterations: int             # Krylov steps summed over all cycles
     restarts: int               # restarts of every kind
+    matvecs: int = 0            # operator applications: steps plus checks
 
 
 def _resolve_apply(matrix):
@@ -61,7 +71,6 @@ def complex_symmetric_lanczos(
     breakdown_guard: float = 1e-14,
     restart_max: int = 5,
     rng: np.random.Generator | None = None,
-    ritz_interval: int = 10,
 ) -> LanczosResult:
     """Extremal eigenpair of a complex symmetric matrix.
 
@@ -82,12 +91,13 @@ def complex_symmetric_lanczos(
         which the iteration declares a quasi-null breakdown and reseeds
         from a fresh random vector (up to ``restart_max`` times; an
         invariant subspace without a converged pair reseeds the same way).
-    ritz_interval : Krylov steps between Ritz value estimates.
 
-    The result's ``iterations`` counts every Krylov step of every cycle and
-    ``restarts`` counts every restart: reseeds as above, and restarts from
-    the cycle's best Ritz vector when it reaches ``KRYLOV_CAP`` vectors or its
-    true residual fails to halve between two extractions.
+    The result's ``iterations`` counts every Krylov step of every cycle,
+    ``matvecs`` every application of ``matrix`` (the steps plus the
+    true-residual checks), and ``restarts`` every restart: reseeds as above,
+    and restarts from the cycle's best Ritz vector when it reaches
+    ``KRYLOV_CAP`` vectors or its true residual fails to halve between two
+    extractions.
 
     Raises
     ------
@@ -111,15 +121,17 @@ def complex_symmetric_lanczos(
     m_cap = min(KRYLOV_CAP, dim)
     basis = np.empty((m_cap + 1, dim), dtype=complex)   # rows: Krylov vectors
     T = np.empty((m_cap, m_cap), dtype=complex)         # projected matrix
-    steps = restarts = reseeds = 0
+    steps = checks = restarts = reseeds = 0
     best_resid = np.inf
     while True:
-        kind, cycle_steps, result = _cycle(
+        kind, cycle_steps, cycle_checks, result = _cycle(
             apply, seed, basis, T, max_iter - steps, tol_resid,
-            breakdown_guard, ritz_interval)
+            breakdown_guard)
         steps += cycle_steps
+        checks += cycle_checks
         if result is not None:
             result.iterations, result.restarts = steps, restarts
+            result.matvecs = steps + checks
             if result.residual <= tol_resid:
                 return result
             best_resid = min(best_resid, result.residual)
@@ -143,61 +155,89 @@ def complex_symmetric_lanczos(
             seed = result.vector
 
 
-def _cycle(apply, seed, basis, T, budget, tol_resid, breakdown_guard,
-           ritz_interval):
+def _ritz_vector(T, theta, t_max):
+    """Unit eigenvector of the small matrix ``T`` for its eigenvalue ``theta``.
+
+    Two inverse-iteration solves with the LU factors of ``T - theta I``.
+    Pivots below ``eps * t_max`` (``t_max`` = max |T|) are raised to it, as
+    LAPACK's inverse iteration does, so an exactly singular shift
+    (``T - theta I = 0`` for a 1x1 invariant subspace) still gives the
+    eigenvector.
+    """
+    pivot_floor = max(np.finfo(float).eps * t_max, np.finfo(float).tiny)
+    lu, piv, _ = zgetrf(T - theta * np.eye(len(T)), overwrite_a=True)
+    small = np.flatnonzero(np.abs(lu.diagonal()) < pivot_floor)
+    lu[small, small] = pivot_floor
+    y = np.ones(len(T), dtype=complex)
+    for _ in range(2):
+        y, _ = zgetrs(lu, piv, y, overwrite_b=True)
+        y /= np.linalg.norm(y)
+    return y
+
+
+def _cycle(apply, seed, basis, T, budget, tol_resid, breakdown_guard):
     """One Lanczos cycle from ``seed`` of at most ``len(T)`` and at most
-    ``budget`` Krylov steps.  Returns why it stopped, the steps it took and
-    its best extracted Ritz pair (or None)."""
+    ``budget`` Krylov steps.  Returns why it stopped, the steps it took, the
+    true-residual checks it made and its best extracted Ritz pair (or
+    None)."""
     if budget <= 0:
-        return "budget", 0, None
+        return "budget", 0, 0, None
     q0 = _bilinear(seed, seed)
     if abs(q0) < breakdown_guard * max(np.linalg.norm(seed) ** 2, 1e-300):
-        return "quasi-null", 0, None
+        return "quasi-null", 0, 0, None
     m_cap = T.shape[0]
     basis[0] = seed / np.sqrt(q0)
     T[:] = 0.0
+    t_max = 0.0                     # running max of |T[:m, :m]|
+    checks = 0
     best: LanczosResult | None = None
     for m in range(1, m_cap + 1):
         v = basis[m - 1]
-        w = apply(v)
-        alpha = _bilinear(v, w)
-        w = w - alpha * v
+        Av = apply(v)
+        alpha = _bilinear(v, Av)
+        w = basis[m]                # the next Krylov vector, built in place
+        np.multiply(alpha, v, out=w)
+        np.subtract(Av, w, out=w)
         if m > 1:
-            w = w - T[m - 2, m - 1] * basis[m - 2]
+            w -= T[m - 2, m - 1] * basis[m - 2]
         # full reorthogonalization in the bilinear form (single blocked
         # pass); its coefficients belong to column m-1 of the projection
         coeffs = basis[:m] @ w
-        w = w - basis[:m].T @ coeffs
+        w -= basis[:m].T @ coeffs
         T[m - 1, m - 1] = alpha
         T[:m, m - 1] += coeffs
+        t_max = max(t_max, np.abs(T[:m, m - 1]).max())
 
         nw = np.linalg.norm(w)
-        invariant = nw <= 1e-13 * max(np.abs(T[:m, :m]).max(), 1.0)
+        invariant = nw <= 1e-13 * max(t_max, 1.0)
         last = invariant or m == m_cap or m == budget
-        if last or m % ritz_interval == 0:
-            theta, Y = np.linalg.eig(T[:m, :m])
+        if last or m % RITZ_INTERVAL == 0:
+            theta = np.linalg.eigvals(T[:m, :m])
             t = ground_state_index(theta)
+            y = _ritz_vector(T[:m, :m], theta[t], t_max)
             # cheap residual estimate ||w|| * |y_m| before forming the vector
-            if last or nw * abs(Y[m - 1, t]) <= tol_resid:
-                x = basis[:m].T @ Y[:, t]
+            if last or nw * abs(y[m - 1]) <= tol_resid:
+                x = basis[:m].T @ y
                 x = x / gauge_factor(x)
                 resid = float(np.linalg.norm(apply(x) - theta[t] * x))
+                checks += 1
                 result = LanczosResult(complex(theta[t]), x, resid, 0, 0)
                 if resid <= tol_resid:
-                    return "converged", m, result
+                    return "converged", m, checks, result
                 if invariant:
-                    return "invariant", m, result
+                    return "invariant", m, checks, result
                 if best is not None and resid > 0.5 * best.residual:
-                    return "stagnation", m, min(best, result,
-                                                key=lambda r: r.residual)
+                    return "stagnation", m, checks, min(
+                        best, result, key=lambda r: r.residual)
                 if last:
                     kind = "budget" if m == budget else "krylov-cap"
-                    return kind, m, result
+                    return kind, m, checks, result
                 best = result
 
         q = _bilinear(w, w)
         if abs(q) < breakdown_guard * nw**2:
-            return "quasi-null", m, best
+            return "quasi-null", m, checks, best
         beta = np.sqrt(q)
         T[m, m - 1] = T[m - 1, m] = beta
-        basis[m] = w / beta
+        t_max = max(t_max, abs(beta))
+        w /= beta

@@ -10,6 +10,7 @@ in-band in the point's ``error`` field and never abort the sweep.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -480,11 +481,13 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(result: SweepResult, stream: io.TextIOBase) -> None:
-    """Fixed-column CSV; floats carry 17 significant digits."""
-    header = (["model", "L"] + list(result.axis_names)
-              + ["epsilon", "definition", "re_F", "im_F", "re_chi", "im_chi",
-                 "re_chi_density", "pt_class_a", "pt_class_b", "ep_flag", "error"])
-    stream.write(",".join(header) + "\n")
+    """Fixed-column CSV; floats carry 17 significant digits, and fields that
+    hold a comma or a quote are quoted."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["model", "L"] + list(result.axis_names)
+                    + ["epsilon", "definition", "re_F", "im_F", "re_chi",
+                       "im_chi", "re_chi_density", "pt_class_a", "pt_class_b",
+                       "ep_flag", "error"])
     epsilon = result.provenance["epsilon"]
     definition = result.provenance["definition"]
     for p in result.points:
@@ -494,9 +497,8 @@ def write_csv(result: SweepResult, stream: io.TextIOBase) -> None:
                 _fmt(p.F.real), _fmt(p.F.imag),
                 _fmt(p.chi.real), _fmt(p.chi.imag),
                 _fmt(p.re_chi_density),
-                p.pt_class_a, p.pt_class_b, p.ep_flag,
-                p.error.replace(",", ";")]
-        stream.write(",".join(row) + "\n")
+                p.pt_class_a, p.pt_class_b, p.ep_flag, p.error]
+        writer.writerow(row)
 
 
 def _complex_dict(z: complex) -> dict:

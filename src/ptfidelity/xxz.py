@@ -13,6 +13,7 @@ transpose of the right vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -104,48 +105,79 @@ def _spin_z(states: np.ndarray, j: int) -> np.ndarray:
     return 2 * ((states >> j) & 1) - 1
 
 
+@dataclass(frozen=True)
+class _SectorPattern:
+    """Parameter-free pieces of the ``L``-site sector matrix, all read-only.
+
+    ``data`` holds the exchange amplitude 2 at every hop and 0 in the
+    ``diag_slots`` of the CSR pattern; ``ising`` is ``sum_j s_j s_j+1`` and
+    ``staggered`` is ``sum_j (-1)^j s_j`` per configuration.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    diag_slots: np.ndarray
+    ising: np.ndarray
+    staggered: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _sector_pattern(L: int) -> _SectorPattern:
+    S = build_m0_basis(L).states
+    n = len(S)
+    ising = np.zeros(n)
+    staggered = np.zeros(n)
+    rows, cols = [np.arange(n)], [np.arange(n)]      # diagonal slots first
+    for j in range(L):
+        jn = (j + 1) % L
+        sj, sn = _spin_z(S, j), _spin_z(S, jn)
+        ising += sj * sn
+        staggered += (-1) ** j * sj
+        flip = sj != sn
+        cols.append(np.nonzero(flip)[0])
+        rows.append(np.searchsorted(S, S[flip] ^ ((1 << j) | (1 << jn))))
+    r = np.concatenate(rows)
+    pattern = sparse.csr_matrix(
+        (np.arange(1, len(r) + 1), (r, np.concatenate(cols))), shape=(n, n))
+    pattern.sort_indices()
+    diag_slots = np.flatnonzero(pattern.data <= n)   # labels 1..n mark (i, i)
+    data = np.full(pattern.nnz, 2.0 + 0j)
+    data[diag_slots] = 0.0
+    out = _SectorPattern(data, pattern.indices, pattern.indptr, diag_slots,
+                         ising, staggered)
+    for a in vars(out).values():
+        a.flags.writeable = False
+    return out
+
+
 def build_hamiltonian(p: XxzParams, basis: M0Basis | None = None,
                       ) -> SparseComplexSymmetricMatrix:
-    """Assemble the sector Hamiltonian as a complex symmetric CSR matrix."""
-    if basis is None:
-        basis = build_m0_basis(p.L)
-    S = basis.states
-    n = basis.size
-    diag = np.zeros(n, dtype=complex)
-    rows, cols = [], []
-    for j in range(p.L):
-        jn = (j + 1) % p.L
-        sj, sn = _spin_z(S, j), _spin_z(S, jn)
-        diag += p.jz * sj * sn
-        flip = sj != sn
-        flipped = S[flip] ^ ((1 << j) | (1 << jn))
-        cols.append(np.nonzero(flip)[0])
-        rows.append(np.searchsorted(S, flipped))
-        diag += 1j * p.gamma * ((-1) ** j) * sj
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    H = sparse.coo_matrix(
-        (np.full(len(r), 2.0 + 0j), (r, c)), shape=(n, n)
-    ).tocsr()
-    H = H + sparse.diags(diag)
-    return SparseComplexSymmetricMatrix(matrix=H.tocsr())
+    """Assemble the sector Hamiltonian as a complex symmetric CSR matrix.
+
+    The sparsity pattern and both diagonals are built once per ``L`` and
+    shared read-only; every call gets its own ``data`` array with
+    ``jz * ising + i * gamma * staggered`` written into the diagonal slots.
+    ``basis``, when given, must be the M=0 sector of ``p.L``.
+    """
+    if basis is not None and basis.L != p.L:
+        raise ValueError(f"basis is for L={basis.L}, parameters for L={p.L}")
+    pat = _sector_pattern(p.L)
+    data = pat.data.copy()
+    data[pat.diag_slots] = p.jz * pat.ising + 1j * p.gamma * pat.staggered
+    n = len(pat.ising)
+    H = sparse.csr_matrix((data, pat.indices, pat.indptr), shape=(n, n))
+    return SparseComplexSymmetricMatrix(matrix=H)
 
 
 def staggered_field_direction(basis: M0Basis) -> np.ndarray:
     """Diagonal of dH/dgamma: ``i * sum_j (-1)^j s_j``."""
-    d = np.zeros(basis.size, dtype=complex)
-    for j in range(basis.L):
-        d += 1j * ((-1) ** j) * _spin_z(basis.states, j)
-    return d
+    return 1j * _sector_pattern(basis.L).staggered
 
 
 def ising_direction(basis: M0Basis) -> np.ndarray:
     """Diagonal of dH/dJz: ``sum_j s_j s_j+1`` (periodic)."""
-    d = np.zeros(basis.size, dtype=complex)
-    for j in range(basis.L):
-        jn = (j + 1) % basis.L
-        d += _spin_z(basis.states, j) * _spin_z(basis.states, jn)
-    return d
+    return _sector_pattern(basis.L).ising.astype(complex)
 
 
 @dataclass

@@ -122,6 +122,39 @@ def test_iterations_account_for_every_krylov_matvec(caplog):
     assert any("krylov-cap" in m for m in messages[1:])
 
 
+def test_matvecs_count_every_application():
+    # restarting solve: a quasi-null reseed, then cycles capped by KRYLOV_CAP
+    d = np.linspace(0.0, 1.0, 300) + 0.01j * np.sin(np.arange(300))
+    op = CountingOperator(np.diag(d))
+    seed = np.zeros(300, dtype=complex)
+    seed[:2] = (1.0, 1j)
+    res = complex_symmetric_lanczos(op, 300, v0=seed, max_iter=600,
+                                    rng=np.random.default_rng(9))
+    assert res.restarts >= 2
+    assert res.matvecs == op.calls
+    # a solve that converges in its first cycle
+    basis = build_m0_basis(10)
+    op = CountingOperator(build_hamiltonian(XxzParams(jz=1.0, gamma=0.1, L=10),
+                                            basis))
+    res = complex_symmetric_lanczos(op, basis.size, rng=np.random.default_rng(0))
+    assert res.restarts == 0
+    assert res.matvecs == op.calls > res.iterations
+
+
+def test_invariant_subspace_of_one_vector():
+    # e0 spans an invariant subspace at m=1, where T - theta I is exactly 0
+    A = np.diag([1.0, 2.0, 3.0])
+    res = complex_symmetric_lanczos(A, 3, v0=np.array([1.0, 0.0, 0.0]))
+    assert res.eigenvalue == pytest.approx(1.0, abs=1e-14)
+    assert res.residual <= 1e-14
+
+
+def test_degenerate_ground_level():
+    res = complex_symmetric_lanczos(np.diag([1.0, 1.0, 3.0]), 3,
+                                    rng=np.random.default_rng(0))
+    assert abs(res.eigenvalue - 1.0) < 1e-12
+
+
 def test_converged_solve_logs_nothing(caplog):
     basis = build_m0_basis(10)
     H = build_hamiltonian(XxzParams(jz=1.0, gamma=0.1, L=10), basis)

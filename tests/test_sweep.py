@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -286,6 +287,31 @@ class TestEmit:
         buf.seek(0)
         back = read_json(buf)
         assert result_to_dict(back) == result_to_dict(result)
+
+
+    def test_csv_quotes_commas_and_quotes(self, tmp_path, rng):
+        from conftest import random_pt_matrix
+
+        np.save(tmp_path / "h0.npy", random_pt_matrix(6, rng))
+        np.save(tmp_path / "v.npy", random_pt_matrix(6, rng))
+        cfg = SweepConfig(
+            model="dense-file",
+            axes=[Axis(name="lam,bda", start=0.0, stop=0.2, count=3)],
+            options={"h0": str(tmp_path / "h0.npy"), "v": str(tmp_path / "v.npy")},
+        )
+        result = run_sweep(cfg)
+        result.points[1].error = 'ValueError: bad "x", then y'
+        buf = io.StringIO()
+        write_csv(result, buf)
+        buf.seek(0)
+        rows = list(csv.DictReader(buf))
+        assert len(rows) == len(result.points)
+        for row, p in zip(rows, result.points):
+            assert None not in row and None not in row.values()
+            assert float(row["lam,bda"]) == p.axis_values["lam,bda"]
+            assert float(row["re_F"]) == p.F.real
+            assert row["error"] == p.error
+        assert rows[1]["error"] == 'ValueError: bad "x", then y'
 
 
 class TestDenseFileModel:

@@ -106,6 +106,29 @@ class TestHamiltonian:
         outside = np.setdiff1d(np.arange(2**L), idx)
         assert np.abs(H_full[np.ix_(outside, idx)]).max() == 0
 
+    def test_cached_assembly_across_sizes(self):
+        # sizes revisit L=8 after others, so each build reads a cached pattern
+        params = [(0.0, 0.0), (1.0, 0.1), (-0.5, 0.7)]
+        oracle = {}
+        for L in (4, 8, 6, 10, 8):
+            basis = build_m0_basis(L)
+            full = 2**L - 1 - np.array(
+                [sum(((int(s) >> j) & 1) << (L - 1 - j) for j in range(L))
+                 for s in basis.states])
+            for jz, gamma in params:
+                if (L, jz, gamma) not in oracle:
+                    H_full = full_space_hamiltonian(L, jz, gamma)
+                    oracle[L, jz, gamma] = H_full[np.ix_(full, full)]
+                H = build_hamiltonian(XxzParams(jz=jz, gamma=gamma, L=L), basis)
+                assert np.abs(H.to_dense() - oracle[L, jz, gamma]).max() < 1e-12
+        # a caller writing into one matrix changes no other matrix
+        p = XxzParams(jz=1.0, gamma=0.1, L=8)
+        first = build_hamiltonian(p)
+        build_hamiltonian(p).matrix.data *= 2
+        assert np.abs(first.to_dense() - oracle[8, 1.0, 0.1]).max() < 1e-12
+        later = build_hamiltonian(p).to_dense()
+        assert np.abs(later - oracle[8, 1.0, 0.1]).max() < 1e-12
+
     def test_xx_spectrum_real_and_symmetric(self):
         w = full_sector_spectrum(XxzParams(jz=0.0, gamma=0.0, L=4))
         assert np.abs(w.imag).max() < 1e-12

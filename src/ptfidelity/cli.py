@@ -1,7 +1,8 @@
 """Command-line driver: sweeps, band tables, EP location, benchmarks.
 
-Exit codes: 0 on success, 2 for configuration errors, 3 for runtime
-failures (partial output is written when available).
+Exit codes: 0 on success, 2 for configuration errors (including
+invalid parameter values such as a negative ``--u`` or ``--gamma``), 3 for
+runtime failures (partial output is written when available).
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ._version import VERSION
-from .errors import ConfigError, PtfidelityError
+from .errors import ConfigError, OddLError, PtfidelityError
 from .fidelity import FIDELITY_TAGS, bisect_ep, one_half_ep_test
 from .ssh import (
     SshParams,
@@ -27,13 +29,14 @@ from .ssh import (
     open_boundary_spectrum,
 )
 from .sweep import (
+    _AXIS_NAMES,
     Axis,
     SweepConfig,
     emit,
     parse_config,
     run_sweep,
 )
-from .xxz import XxzParams, full_sector_spectrum, ground_state, is_broken_at
+from .xxz import XxzParams, _with, full_sector_spectrum, ground_state, is_broken_at
 
 
 def _fmt(x: float) -> str:
@@ -41,6 +44,7 @@ def _fmt(x: float) -> str:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """Sweep options; every subcommand declares ``--out`` itself."""
     parser.add_argument("--epsilon", type=float, default=1e-3,
                         help="fidelity step (default 1e-3)")
     parser.add_argument("--tol-real", type=float, default=None,
@@ -49,7 +53,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="worker threads for grid evaluation")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt", help="output format")
-    parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--seed", type=int, default=0,
                         help="base random seed (Lanczos restarts)")
     parser.add_argument("--definition", choices=FIDELITY_TAGS,
@@ -65,15 +68,23 @@ def _axis_arg(values, name) -> Axis | float:
     raise ConfigError(f"--{name} takes one value or start stop count, got {values}")
 
 
-def _build_sweep_config(args, model: str) -> SweepConfig:
+def _params(cls, **values):
+    """``cls(**values)``, with an invalid value reported as a config error."""
+    try:
+        return cls(**values)
+    except (ValueError, OddLError) as err:
+        raise ConfigError(str(err)) from None
+
+
+def _build_sweep_config(args) -> SweepConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             return parse_config(f.read())
     axes: list[Axis] = []
     fixed: dict[str, float] = {}
-    names = ("v1", "u", "v2") if model == "ssh" else ("jz", "gamma")
-    for name in names:
-        raw = getattr(args, name, None)
+    model = args.model
+    for name in _AXIS_NAMES[model]:
+        raw = getattr(args, name)
         if raw is None:
             continue
         parsed = _axis_arg(raw, name)
@@ -81,47 +92,43 @@ def _build_sweep_config(args, model: str) -> SweepConfig:
             axes.append(parsed)
         else:
             fixed[name] = parsed
-    sizes = list(args.L) if isinstance(args.L, list) else [args.L]
+    sizes = list(args.L)
     if model == "ssh" and len(sizes) == 1:
         fixed["L"] = sizes[0]
         sizes = []
-    cfg = SweepConfig(
+    return SweepConfig(
         model=model, axes=axes, fixed=fixed, sizes=sizes,
         epsilon=args.epsilon, definition=args.definition,
         seed=args.seed, threads=args.threads, tol_real=args.tol_real,
         out=args.out, fmt=args.fmt,
     )
-    cfg.validate()
-    return cfg
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path``, or to standard output without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _write_rows(path, header, rows) -> None:
-    out = sys.stdout if path is None else open(path, "w", encoding="utf-8")
-    try:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
-    finally:
-        if path is not None:
-            out.close()
+    _write(path, "".join(",".join(row) + "\n" for row in [header, *rows]))
 
 
-def cmd_ssh_scan(args) -> int:
-    cfg = _build_sweep_config(args, "ssh")
-    result = run_sweep(cfg)
-    emit(result, cfg.fmt, cfg.out or args.out or "ssh_scan." + cfg.fmt)
-    return 0
+def _write_json(path, report: dict) -> None:
+    _write(path, json.dumps(report, indent=1) + "\n")
 
 
-def cmd_xxz_scan(args) -> int:
-    cfg = _build_sweep_config(args, "xxz")
-    result = run_sweep(cfg)
-    emit(result, cfg.fmt, cfg.out or args.out or "xxz_scan." + cfg.fmt)
+def cmd_scan(args) -> int:
+    cfg = _build_sweep_config(args)
+    emit(run_sweep(cfg), cfg.fmt, cfg.out or args.out or f"{args.model}_scan.{cfg.fmt}")
     return 0
 
 
 def cmd_ssh_bands(args) -> int:
-    p = SshParams(v1=args.v1, v2=args.v2, u=args.u, L=args.L)
+    p = _params(SshParams, v1=args.v1, v2=args.v2, u=args.u, L=args.L)
     rows = []
     for m, k in enumerate(p.momenta()):
         bp = band_point(k, p)
@@ -139,15 +146,17 @@ def cmd_ssh_bands(args) -> int:
     return 0
 
 
+def _grid(values, name):
+    parsed = _axis_arg(values, name)
+    return parsed.values() if isinstance(parsed, Axis) else [parsed]
+
+
 def cmd_ssh_berry(args) -> int:
-    v1s = np.linspace(*map(float, args.v1[:2]), int(float(args.v1[2]))) \
-        if len(args.v1) == 3 else [float(args.v1[0])]
-    us = np.linspace(*map(float, args.u[:2]), int(float(args.u[2]))) \
-        if len(args.u) == 3 else [float(args.u[0])]
+    us = _grid(args.u, "u")
     rows = []
-    for v1 in v1s:
+    for v1 in _grid(args.v1, "v1"):
         for u in us:
-            p = SshParams(v1=float(v1), v2=args.v2, u=float(u), L=args.L)
+            p = _params(SshParams, v1=float(v1), v2=args.v2, u=float(u), L=args.L)
             try:
                 bp = complex_berry_phase(p, band=args.band, method=args.method,
                                          n_k=args.nk)
@@ -164,7 +173,7 @@ def cmd_ssh_berry(args) -> int:
 
 
 def cmd_ssh_edges(args) -> int:
-    p = SshParams(v1=args.v1, v2=args.v2, u=args.u, L=args.L)
+    p = _params(SshParams, v1=args.v1, v2=args.v2, u=args.u, L=args.L)
     result = open_boundary_spectrum(p)
     report = {
         "params": {"v1": p.v1, "v2": p.v2, "u": p.u, "w": p.w, "L": p.L},
@@ -181,18 +190,12 @@ def cmd_ssh_edges(args) -> int:
         ],
         "eigenvalues": [[w.real, w.imag] for w in result.eigenvalues],
     }
-    text = json.dumps(report, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out, report)
     return 0
 
 
 def cmd_xxz_spectrum(args) -> int:
-    p = XxzParams(jz=args.jz, gamma=args.gamma, L=args.L)
-    w = full_sector_spectrum(p)
+    w = full_sector_spectrum(_params(XxzParams, jz=args.jz, gamma=args.gamma, L=args.L))
     _write_rows(args.out, ["re_E", "im_E"],
                 [[_fmt(x.real), _fmt(x.imag)] for x in w])
     return 0
@@ -202,57 +205,52 @@ def cmd_ep_locate(args) -> int:
     lo, hi = args.bracket
     schedule = args.epsilon_schedule or [1e-2, 1e-3, 1e-4]
     if args.model == "ssh":
+        base = _params(SshParams, v1=lo, v2=args.v2, u=args.u, L=args.L)
+
         # a finite-size SSH exceptional point is a parameter value where a
         # grid momentum crosses its EP, i.e. the count of imaginary-energy
         # momenta jumps (the unbroken->broken transition is count 0 -> 2)
         def n_broken(v1):
-            p = SshParams(v1=v1, v2=args.v2, u=args.u, L=args.L)
+            p = replace(base, v1=v1)
             return int(np.sum(band_discriminant(p.momenta(), p) < 0))
 
         n_lo = n_broken(lo)
-        blo, bhi = bisect_ep(lambda v1: n_broken(v1) != n_lo, lo, hi,
-                             tol=args.tol)
+
+        def is_broken(v1):
+            return n_broken(v1) != n_lo
 
         def state_fn(v1):
             return v1, None, str(n_broken(v1))
 
         def fid_fn(sa, sb):
-            p = SshParams(v1=sa.left, v2=args.v2, u=args.u, L=args.L)
-            return many_body_fidelity(p, sa.left, sb.left).value
+            return many_body_fidelity(replace(base, v1=sa.left), sa.left, sb.left).value
+    else:
+        base = _params(XxzParams, jz=args.jz, gamma=args.gamma, L=args.L)
 
-        result = one_half_ep_test(state_fn, blo, bhi,
-                                  epsilon_schedule=schedule,
-                                  a=args.a, b=args.b, fidelity_fn=fid_fn)
-        # per-momentum one-half report at the crossing momenta
-        pa = SshParams(v1=blo - schedule[-1], v2=args.v2, u=args.u, L=args.L)
-        pb = SshParams(v1=bhi + schedule[-1], v2=args.v2, u=args.u, L=args.L)
+        def is_broken(x):
+            return is_broken_at(base, args.direction, x, seed=args.seed,
+                                tol_real=args.tol_real)
+
+        def state_fn(x):
+            g = ground_state(_with(base, args.direction, x), seed=args.seed,
+                             tol_real=args.tol_real)
+            return g.left, g.right, g.pt_class
+
+        fid_fn = None
+
+    blo, bhi = bisect_ep(is_broken, lo, hi, tol=args.tol)
+    result = one_half_ep_test(state_fn, blo, bhi, epsilon_schedule=schedule,
+                              a=args.a, b=args.b, fidelity_fn=fid_fn)
+    crossing = []
+    if args.model == "ssh":     # per-momentum one-half report at the crossing momenta
+        pa = replace(base, v1=blo - schedule[-1])
+        pb = replace(base, v1=bhi + schedule[-1])
         ks = pa.momenta()
         crosses = (band_discriminant(ks, pa) > 0) != (band_discriminant(ks, pb) > 0)
         f_k = lower_band_fidelities(pa, pb)
         crossing = [{"m": int(m), "k": float(ks[m]),
                      "re_f_k": f_k[m].real, "im_f_k": f_k[m].imag}
                     for m in np.flatnonzero(crosses)]
-    else:
-        base = XxzParams(jz=args.jz, gamma=args.gamma, L=args.L)
-
-        def is_broken(x):
-            return is_broken_at(base, args.direction, x, seed=args.seed,
-                                tol_real=args.tol_real)
-
-        blo, bhi = bisect_ep(is_broken, lo, hi, tol=args.tol)
-
-        def state_fn(x):
-            params = XxzParams(
-                jz=x if args.direction == "jz" else base.jz,
-                gamma=x if args.direction == "gamma" else base.gamma,
-                L=base.L)
-            g = ground_state(params, seed=args.seed, tol_real=args.tol_real)
-            return g.left, g.right, g.pt_class
-
-        result = one_half_ep_test(state_fn, blo, bhi,
-                                  epsilon_schedule=schedule,
-                                  a=args.a, b=args.b)
-        crossing = []
 
     report = {
         "model": args.model,
@@ -263,12 +261,7 @@ def cmd_ep_locate(args) -> int:
         "re_f_trace": [[eps, F.real, F.imag] for eps, F in result.re_f_trace],
         "crossing_momenta": crossing,
     }
-    text = json.dumps(report, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out, report)
     return 0
 
 
@@ -276,7 +269,7 @@ def cmd_bench(args) -> int:
     from .biortho import biorthogonal_eig
     from .lanczos import complex_symmetric_lanczos
     from .ssh import chi_total
-    from .xxz import build_hamiltonian, build_m0_basis
+    from .xxz import build_hamiltonian
 
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -295,12 +288,11 @@ def cmd_bench(args) -> int:
     timeit("ssh-model", "complex_berry_phase N=4096",
            lambda: complex_berry_phase(SshParams(v1=0.5, u=0.2), band=-1))
 
-    basis = build_m0_basis(12)
-    H = build_hamiltonian(XxzParams(jz=0.5, gamma=0.1, L=12), basis)
-    timeit("xxz-model", "build_hamiltonian L=12",
-           lambda: build_hamiltonian(XxzParams(jz=0.5, gamma=0.1, L=12), basis))
+    p = XxzParams(jz=0.5, gamma=0.1, L=12)
+    H = build_hamiltonian(p)
+    timeit("xxz-model", "build_hamiltonian L=12", lambda: build_hamiltonian(p))
     timeit("biortho-core", "lanczos L=12 sector",
-           lambda: complex_symmetric_lanczos(H, basis.size, rng=np.random.default_rng(0)))
+           lambda: complex_symmetric_lanczos(H, H.dim, rng=np.random.default_rng(0)))
 
     _write_rows(args.out, ["module", "operation", "seconds"], rows)
     return 0
@@ -314,33 +306,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ssh_scan = sub.add_parser("ssh-scan", help="ladder sweep over (v1, u, v2)")
-    _add_common(ssh_scan)
-    ssh_scan.add_argument("--config", default=None, help="sweep config file")
-    ssh_scan.add_argument("--v1", nargs="+", default=None)
-    ssh_scan.add_argument("--u", nargs="+", default=None)
-    ssh_scan.add_argument("--v2", nargs="+", default=None)
-    ssh_scan.add_argument("-L", type=int, nargs="+", default=[101])
-    ssh_scan.set_defaults(func=cmd_ssh_scan)
+    def command(name, func, help_text, **defaults):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--out", default=None, help="output file path")
+        cmd.set_defaults(func=func, **defaults)
+        return cmd
 
-    xxz_scan = sub.add_parser("xxz-scan", help="spin-chain sweep over (gamma, jz)")
-    _add_common(xxz_scan)
-    xxz_scan.add_argument("--config", default=None, help="sweep config file")
-    xxz_scan.add_argument("--jz", nargs="+", default=None)
-    xxz_scan.add_argument("--gamma", nargs="+", default=None)
-    xxz_scan.add_argument("-L", type=int, nargs="+", default=[10])
-    xxz_scan.set_defaults(func=cmd_xxz_scan)
+    for model, help_text, L in (("ssh", "ladder sweep over (v1, u, v2)", 101),
+                                ("xxz", "spin-chain sweep over (gamma, jz)", 10)):
+        scan = command(f"{model}-scan", cmd_scan, help_text, model=model)
+        _add_common(scan)
+        scan.add_argument("--config", default=None, help="sweep config file")
+        for name in _AXIS_NAMES[model]:
+            scan.add_argument(f"--{name}", nargs="+", default=None)
+        scan.add_argument("-L", type=int, nargs="+", default=[L])
 
-    bands = sub.add_parser("ssh-bands", help="per-momentum energies and chi_k")
-    _add_common(bands)
+    bands = command("ssh-bands", cmd_ssh_bands, "per-momentum energies and chi_k")
     bands.add_argument("--v1", type=float, required=True)
     bands.add_argument("--v2", type=float, default=0.0)
     bands.add_argument("--u", type=float, default=0.0)
     bands.add_argument("-L", type=int, default=101)
-    bands.set_defaults(func=cmd_ssh_bands)
 
-    berry = sub.add_parser("ssh-berry", help="complex Berry phase")
-    _add_common(berry)
+    berry = command("ssh-berry", cmd_ssh_berry, "complex Berry phase")
     berry.add_argument("--v1", nargs="+", required=True)
     berry.add_argument("--u", nargs="+", required=True)
     berry.add_argument("--v2", type=float, default=0.0)
@@ -349,28 +336,28 @@ def build_parser() -> argparse.ArgumentParser:
                        default="numeric")
     berry.add_argument("--nk", type=int, default=4096)
     berry.add_argument("-L", type=int, default=101)
-    berry.set_defaults(func=cmd_ssh_berry)
 
-    edges = sub.add_parser("ssh-edges", help="open-boundary spectrum and modes")
-    _add_common(edges)
+    edges = command("ssh-edges", cmd_ssh_edges, "open-boundary spectrum and modes")
     edges.add_argument("--v1", type=float, required=True)
     edges.add_argument("--v2", type=float, default=0.0)
     edges.add_argument("--u", type=float, default=0.0)
     edges.add_argument("-L", type=int, default=40)
-    edges.set_defaults(func=cmd_ssh_edges)
 
-    spec = sub.add_parser("xxz-spectrum", help="full sector spectrum")
-    _add_common(spec)
+    spec = command("xxz-spectrum", cmd_xxz_spectrum, "full sector spectrum")
     spec.add_argument("--jz", type=float, required=True)
     spec.add_argument("--gamma", type=float, default=0.0)
     spec.add_argument("-L", type=int, default=10)
-    spec.set_defaults(func=cmd_xxz_spectrum)
 
-    ep = sub.add_parser("ep-locate", help="bisect a PT transition and run the one-half test")
-    _add_common(ep)
+    ep = command("ep-locate", cmd_ep_locate,
+                 "bisect a PT transition and run the one-half test")
+    ep.add_argument("--seed", type=int, default=0,
+                    help="Lanczos seed of every XXZ probe")
+    ep.add_argument("--tol-real", type=float, default=None,
+                    help="imaginary-part threshold for PT classification")
     ep.add_argument("--model", choices=("ssh", "xxz"), required=True)
     ep.add_argument("--bracket", type=float, nargs=2, required=True)
-    ep.add_argument("--direction", choices=("v1", "gamma", "jz"), default=None)
+    ep.add_argument("--direction", choices=("gamma", "jz"), default="gamma",
+                    help="XXZ scan parameter (SSH always scans v1)")
     ep.add_argument("--tol", type=float, default=1e-6)
     ep.add_argument("--a", type=float, default=0.5)
     ep.add_argument("--b", type=float, default=0.5)
@@ -380,11 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--jz", type=float, default=0.0)
     ep.add_argument("--gamma", type=float, default=0.0)
     ep.add_argument("-L", type=int, default=101)
-    ep.set_defaults(func=cmd_ep_locate)
 
-    bench = sub.add_parser("bench", help="per-module timing report")
-    _add_common(bench)
-    bench.set_defaults(func=cmd_bench)
+    bench = command("bench", cmd_bench, "per-module timing report")
+    bench.add_argument("--seed", type=int, default=0, help="random seed")
 
     return parser
 
@@ -396,9 +381,6 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        if getattr(args, "model", None) == "xxz" and \
-                getattr(args, "direction", None) is None:
-            args.direction = "gamma"
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -96,6 +96,22 @@ def _guard_denominators(w, ground_index, degeneracy_guard):
     return gaps
 
 
+def _excited_terms(es: BiorthogonalEigensystem, V, ground_index: int,
+                   degeneracy_guard: float):
+    """``<L_0|V|R_n><L_n|V|R_0>`` and ``E_0 - E_n`` over the excited ``n``,
+    after the degeneracy guard on every gap."""
+    w = es.eigenvalues
+    _guard_denominators(w, ground_index, degeneracy_guard)
+    r0 = es.right_vectors[:, ground_index]
+    l0 = es.left_vectors[ground_index]
+    Varr = np.asarray(V)
+    a = es.left_vectors @ _matvec(V, r0)                   # <L_n|V|R_0>
+    b = ((l0 * Varr) @ es.right_vectors if Varr.ndim == 1  # <L_0|V|R_n>
+         else l0 @ (Varr @ es.right_vectors))
+    keep = np.arange(len(w)) != ground_index
+    return b[keep] * a[keep], w[ground_index] - w[keep]
+
+
 def chi_perturbative(
     es: BiorthogonalEigensystem,
     V,
@@ -109,17 +125,8 @@ def chi_perturbative(
     parameter derivative of the matrix (dense array, or 1-D array read as
     a diagonal operator).
     """
-    w = es.eigenvalues
-    _guard_denominators(w, ground_index, degeneracy_guard)
-    r0 = es.right_vectors[:, ground_index]
-    l0 = es.left_vectors[ground_index]
-    Varr = np.asarray(V)
-    a = es.left_vectors @ _matvec(V, r0)                   # <L_n|V|R_0>
-    b = ((l0 * Varr) @ es.right_vectors if Varr.ndim == 1  # <L_0|V|R_n>
-         else l0 @ (Varr @ es.right_vectors))
-    keep = np.arange(len(w)) != ground_index
-    denom = (w[ground_index] - w) ** 2
-    return complex(np.sum(b[keep] * a[keep] / denom[keep]))
+    terms, gaps = _excited_terms(es, V, ground_index, degeneracy_guard)
+    return complex(np.sum(terms / gaps**2))
 
 
 def second_order_energy(
@@ -130,17 +137,8 @@ def second_order_energy(
     degeneracy_guard: float = 1e-12,
 ) -> complex:
     """Second-order energy correction (first-power denominators)."""
-    w = es.eigenvalues
-    _guard_denominators(w, ground_index, degeneracy_guard)
-    r0 = es.right_vectors[:, ground_index]
-    l0 = es.left_vectors[ground_index]
-    a = es.left_vectors @ _matvec(V, r0)
-    Varr = np.asarray(V)
-    b = ((l0 * Varr) @ es.right_vectors if Varr.ndim == 1
-         else l0 @ (Varr @ es.right_vectors))
-    keep = np.arange(len(w)) != ground_index
-    denom = w[ground_index] - w
-    return complex(np.sum(b[keep] * a[keep] / denom[keep]))
+    terms, gaps = _excited_terms(es, V, ground_index, degeneracy_guard)
+    return complex(np.sum(terms / gaps))
 
 
 def chi_rr_perturbative(

@@ -15,6 +15,7 @@ import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -28,14 +29,14 @@ from .fidelity import (
     fidelity_variant,
 )
 from .ssh import SshParams, chi_total, ground_state_pt_class, lower_band_fidelities
-from .xxz import XxzParams, build_hamiltonian, build_m0_basis, ground_state
+from .xxz import LANCZOS_BASIS_CAP, XxzParams, _ground_state_pair
 
 SCHEMA_VERSION = 1
 DIVERGENCE_FLOOR = -1.0e4          # per-site flag threshold for EP lines
 MODELS = ("ssh", "xxz", "dense-file")
 _AXIS_NAMES = {
     "ssh": ("v1", "u", "v2"),
-    "xxz": ("gamma", "jz"),
+    "xxz": ("jz", "gamma"),
     "dense-file": ("lambda",),
 }
 
@@ -100,6 +101,11 @@ class SweepConfig:
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.model == "xxz" and not self.sizes:
             raise ConfigError("xxz sweeps need at least one size (L)")
+        for L in self.sizes if self.model == "xxz" else ():
+            if L % 2 or L < 4 or comb(L, L // 2) > LANCZOS_BASIS_CAP:
+                raise ConfigError(
+                    f"xxz size L={L} must be even and at least 4, with an M=0 "
+                    f"sector of at most {LANCZOS_BASIS_CAP} states")
         if self.model == "ssh" and not self.sizes and "L" not in self.fixed:
             raise ConfigError("ssh sweeps need L (fixed or sizes)")
         if self.model == "dense-file":
@@ -145,6 +151,13 @@ class SweepConfig:
         return "\n".join(lines) + "\n"
 
 
+def _convert(kind, key: str, value: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{key} = {value!r} is not a valid {kind.__name__}") from None
+
+
 def parse_config(text: str) -> SweepConfig:
     """Parse the flat key=value config format (section headers allowed to
     repeat, so multiple [axis] sections define multiple axes)."""
@@ -168,14 +181,11 @@ def parse_config(text: str) -> SweepConfig:
         if section == "sweep":
             sweep[key] = value
         elif section == "fixed":
-            try:
-                fixed[key] = float(value)
-            except ValueError as err:
-                raise ConfigError(f"fixed parameter {key!r}: {err}") from None
+            fixed[key] = _convert(float, key, value)
         elif section == "axis":
             axes_raw[-1][key] = value
         elif section == "sizes":
-            sizes = [int(tok) for tok in value.split()]
+            sizes = [_convert(int, key, tok) for tok in value.split()]
         else:
             raise ConfigError(f"line outside a known section: {line!r}")
 
@@ -184,31 +194,29 @@ def parse_config(text: str) -> SweepConfig:
         try:
             axes.append(Axis(
                 name=spec["name"],
-                start=float(spec["start"]),
-                stop=float(spec["stop"]),
-                count=int(spec["count"]),
+                start=_convert(float, "start", spec["start"]),
+                stop=_convert(float, "stop", spec["stop"]),
+                count=_convert(int, "count", spec["count"]),
             ))
         except KeyError as err:
             raise ConfigError(f"axis section missing {err}") from None
 
-    known = {"model", "definition", "epsilon", "seed", "threads", "tol_real",
-             "divergence_floor", "out", "format"}
+    # numeric [sweep] keys share their SweepConfig field names and defaults
+    typed = {"epsilon": float, "seed": int, "threads": int, "tol_real": float,
+             "divergence_floor": float}
+    known = {"model", "definition", "out", "format", *typed}
     options = {k: v for k, v in sweep.items() if k not in known}
     cfg = SweepConfig(
         model=sweep.get("model", ""),
         axes=axes,
         fixed=fixed,
         sizes=sizes,
-        epsilon=float(sweep.get("epsilon", DEFAULT_EPSILON)),
         definition=sweep.get("definition", "metricized"),
-        seed=int(sweep.get("seed", 0)),
-        threads=int(sweep.get("threads", 1)),
-        tol_real=float(sweep["tol_real"]) if "tol_real" in sweep else None,
-        divergence_floor=float(sweep.get("divergence_floor", DIVERGENCE_FLOOR)),
         out=sweep.get("out"),
         fmt=sweep.get("format", "csv"),
         options=options,
         source_text=text,
+        **{k: _convert(kind, k, sweep[k]) for k, kind in typed.items() if k in sweep},
     )
     cfg.validate()
     return cfg
@@ -247,41 +255,51 @@ def _point_seed(base: int, linear_index: int) -> int:
     return int(np.random.SeedSequence([base, linear_index]).generate_state(1)[0])
 
 
-class _SshEvaluator:
+class _Evaluator:
+    """Fidelity between the ground states at a grid point and at the same
+    point shifted by ``epsilon`` along the scan axis.  Subclasses turn the
+    two parameter dicts into the endpoint fidelity in ``_pair``, which also
+    sets the point's endpoint PT classes."""
+
     def __init__(self, cfg: SweepConfig, L: int):
         self.cfg = cfg
         self.L = L
 
+    def __call__(self, point: PointResult) -> None:
+        cfg = self.cfg
+        shifted = dict(point.axis_values)
+        shifted[cfg.axes[-1].name] += cfg.epsilon
+        point.F = complex(self._pair(point, shifted))
+        point.chi = self._chi(point)
+        point.re_chi_density = point.chi.real / self.L
+
+    def _chi(self, point: PointResult) -> complex:
+        return chi_finite_difference(point.F, self.cfg.epsilon)
+
+
+class _SshEvaluator(_Evaluator):
     def _params(self, vals: dict[str, float]) -> SshParams:
-        merged = {"v2": 0.0, "u": 0.0, **self.cfg.fixed, **vals}
-        merged.pop("L", None)
+        merged = {**self.cfg.fixed, **vals}
         return SshParams(v1=merged["v1"], v2=merged.get("v2", 0.0),
                          u=merged.get("u", 0.0), w=merged.get("w", 1.0),
                          L=self.L)
 
-    def __call__(self, point: PointResult) -> None:
-        cfg = self.cfg
-        scan_axis = cfg.axes[-1].name
-        pa = self._params(point.axis_values)
-        shifted = dict(point.axis_values)
-        shifted[scan_axis] = shifted[scan_axis] + cfg.epsilon
-        pb = self._params(shifted)
-
+    def _pair(self, point: PointResult, shifted: dict[str, float]):
+        pa, pb = self._params(point.axis_values), self._params(shifted)
+        # classes first: an exceptional grid momentum fails only the fidelity
         point.pt_class_a = ground_state_pt_class(pa)
         point.pt_class_b = ground_state_pt_class(pb)
-        point.F = complex(np.prod(lower_band_fidelities(pa, pb, cfg.definition)))
-        if cfg.definition == "metricized" and scan_axis == "v1":
-            point.chi = complex(chi_total(pa).value)
-        else:
-            point.chi = chi_finite_difference(point.F, cfg.epsilon)
-        point.re_chi_density = point.chi.real / self.L
+        return np.prod(lower_band_fidelities(pa, pb, self.cfg.definition))
+
+    def _chi(self, point: PointResult) -> complex:
+        if self.cfg.definition == "metricized" and self.cfg.axes[-1].name == "v1":
+            return complex(chi_total(self._params(point.axis_values)).value)
+        return super()._chi(point)
 
 
-class _XxzEvaluator:
+class _XxzEvaluator(_Evaluator):
     def __init__(self, cfg: SweepConfig, L: int):
-        self.cfg = cfg
-        self.L = L
-        self.basis = build_m0_basis(L)
+        super().__init__(cfg, L)
         self.shape = tuple(ax.count for ax in cfg.axes)
 
     def _params(self, vals: dict[str, float]) -> XxzParams:
@@ -289,53 +307,38 @@ class _XxzEvaluator:
         return XxzParams(jz=merged.get("jz", 0.0),
                          gamma=merged.get("gamma", 0.0), L=self.L)
 
-    def __call__(self, point: PointResult) -> None:
+    def _pair(self, point: PointResult, shifted: dict[str, float]):
         cfg = self.cfg
-        scan_axis = cfg.axes[-1].name
-        pa = self._params(point.axis_values)
-        shifted = dict(point.axis_values)
-        shifted[scan_axis] = shifted[scan_axis] + cfg.epsilon
-        pb = self._params(shifted)
-
-        base = _point_seed(cfg.seed, np.ravel_multi_index(point.index, self.shape))
-        ma = build_hamiltonian(pa, self.basis)
-        mb = build_hamiltonian(pb, self.basis)
-        ga = ground_state(pa, basis=self.basis, matrix=ma, seed=base,
-                          tol_real=cfg.tol_real)
-        gb = ground_state(pb, basis=self.basis, matrix=mb, seed=base + 1,
-                          tol_real=cfg.tol_real)
-        F = fidelity_variant(cfg.definition, ga.left, ga.right, gb.left, gb.right)
-        point.F = complex(F)
-        point.chi = chi_finite_difference(F, cfg.epsilon)
-        point.re_chi_density = point.chi.real / self.L
-        point.pt_class_a = ga.pt_class
-        point.pt_class_b = gb.pt_class
+        seed = _point_seed(cfg.seed, np.ravel_multi_index(point.index, self.shape))
+        ga, gb, F = _ground_state_pair(
+            self._params(point.axis_values), self._params(shifted),
+            seed, seed + 1, cfg.definition, tol_real=cfg.tol_real)
+        point.pt_class_a, point.pt_class_b = ga.pt_class, gb.pt_class
+        return F
 
 
-class _DenseFileEvaluator:
+class _DenseFileEvaluator(_Evaluator):
     def __init__(self, cfg: SweepConfig, L: int):
-        self.cfg = cfg
         self.H0 = np.load(cfg.options["h0"])
         self.V = np.load(cfg.options["v"])
-        self.L = self.H0.shape[0]
+        super().__init__(cfg, self.H0.shape[0])
 
     def _ground(self, lam: float):
         es = biorthogonal_eig(self.H0 + lam * self.V)
         g = es.ground_index()
-        cls = classify_pt(es)
-        pt = "broken" if cls.is_broken(g) else "unbroken"
+        pt = "broken" if classify_pt(es).is_broken(g) else "unbroken"
         return es.left_vectors[g], es.right_vectors[:, g], pt
 
-    def __call__(self, point: PointResult) -> None:
-        cfg = self.cfg
-        lam = point.axis_values[cfg.axes[-1].name]
-        la, ra, ca = self._ground(lam)
-        lb, rb, cb = self._ground(lam + cfg.epsilon)
-        F = fidelity_variant(cfg.definition, la, ra, lb, rb)
-        point.F = complex(F)
-        point.chi = chi_finite_difference(F, cfg.epsilon)
-        point.re_chi_density = point.chi.real / self.L
+    def _pair(self, point: PointResult, shifted: dict[str, float]):
+        scan_axis = self.cfg.axes[-1].name
+        la, ra, ca = self._ground(point.axis_values[scan_axis])
+        lb, rb, cb = self._ground(shifted[scan_axis])
         point.pt_class_a, point.pt_class_b = ca, cb
+        return fidelity_variant(self.cfg.definition, la, ra, lb, rb)
+
+
+_EVALUATORS = {"ssh": _SshEvaluator, "xxz": _XxzEvaluator,
+               "dense-file": _DenseFileEvaluator}
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -351,40 +354,30 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     shape = tuple(ax.count for ax in cfg.axes)
     sizes = cfg.sizes or [int(cfg.fixed.get("L", 0))]
 
-    evaluators = {}
-    for L in sizes:
-        if cfg.model == "ssh":
-            evaluators[L] = _SshEvaluator(cfg, L)
-        elif cfg.model == "xxz":
-            evaluators[L] = _XxzEvaluator(cfg, L)
-        else:
-            evaluators[L] = _DenseFileEvaluator(cfg, L)
+    evaluators = {L: _EVALUATORS[cfg.model](cfg, L) for L in sizes}
 
-    points: list[PointResult] = []
-    point_eval = []
+    jobs: list[tuple[PointResult, _Evaluator]] = []
     for L in sizes:
         for index in np.ndindex(shape):
             vals = {name: float(axis_values[d][index[d]])
                     for d, name in enumerate(axis_names)}
-            points.append(PointResult(index=tuple(index), axis_values=vals,
-                                      L=evaluators[L].L))
-            point_eval.append(evaluators[L])
+            jobs.append((PointResult(index=tuple(index), axis_values=vals,
+                                     L=evaluators[L].L), evaluators[L]))
+    points = [point for point, _ in jobs]
 
-    def work(item):
-        i, point, evaluate = item
+    def work(job):
+        point, evaluate = job
         try:
             evaluate(point)
         except Exception as err:  # keep the sweep alive; record in-band
             point.error = f"{type(err).__name__}: {err}"
-        return i
 
-    items = [(i, p, e) for i, (p, e) in enumerate(zip(points, point_eval))]
     if cfg.threads == 1:
-        for item in items:
-            work(item)
+        for job in jobs:
+            work(job)
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(work, items))
+            list(pool.map(work, jobs))
 
     for point in points:
         flags = []

@@ -20,7 +20,12 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import lu_factor, lu_solve
 
-from .biortho import SparseComplexSymmetricMatrix, gauge_factor, ground_state_index
+from .biortho import (
+    SparseComplexSymmetricMatrix,
+    dense_full_spectrum,
+    gauge_factor,
+    ground_state_index,
+)
 from .errors import (
     BasisCapExceededError,
     DimTooLargeError,
@@ -255,9 +260,10 @@ def ground_state(
     ``max_iter`` is the total Krylov-step budget summed over all restarts
     of the solve, and ``seed`` seeds the start vector and every reseed
     after a quasi-null breakdown (see ``complex_symmetric_lanczos``).
+    ``matrix`` may be any operator of the sector's dimension; ``basis`` is
+    only checked against ``p.L`` when the matrix is built here.
     """
-    if basis is None:
-        basis = build_m0_basis(p.L)
+    dim = comb(p.L, p.L // 2)
     if matrix is None:
         matrix = build_hamiltonian(p, basis)
     if tol_real is None:
@@ -266,14 +272,14 @@ def ground_state(
     if method == "lanczos":
         rng = np.random.default_rng(seed)
         res = complex_symmetric_lanczos(
-            matrix, basis.size, v0=v0, max_iter=max_iter,
+            matrix, dim, v0=v0, max_iter=max_iter,
             tol_resid=tol_resid, rng=rng,
         )
         energy, right, residual = res.eigenvalue, res.vector, res.residual
     elif method == "dense":
-        if basis.size > DENSE_SECTOR_CAP:
+        if dim > DENSE_SECTOR_CAP:
             raise DimTooLargeError(
-                f"sector dim {basis.size} exceeds dense cap {DENSE_SECTOR_CAP}"
+                f"sector dim {dim} exceeds dense cap {DENSE_SECTOR_CAP}"
             )
         H = matrix.to_dense()
         w = np.linalg.eigvals(H)
@@ -298,6 +304,17 @@ def _with(p: XxzParams, direction: str, value: float) -> XxzParams:
     if direction == "jz":
         return XxzParams(jz=value, gamma=p.gamma, L=p.L)
     raise ValueError(f"unknown scan direction {direction!r}")
+
+
+def _ground_state_pair(pa: XxzParams, pb: XxzParams, seed_a: int, seed_b: int,
+                       definition_tag: str, **solve,
+                       ) -> tuple[XxzGroundState, XxzGroundState, complex]:
+    """Ground states at ``pa`` and ``pb`` (Lanczos seeds ``seed_a`` and
+    ``seed_b``; ``solve`` goes to ``ground_state``) and their fidelity."""
+    ga = ground_state(pa, seed=seed_a, **solve)
+    gb = ground_state(pb, seed=seed_b, **solve)
+    return ga, gb, fidelity_variant(definition_tag, ga.left, ga.right,
+                                    gb.left, gb.right)
 
 
 def fidelity_scan(
@@ -326,27 +343,20 @@ def fidelity_scan(
     if on_error not in ("raise", "record"):
         raise ValueError("on_error must be 'raise' or 'record'")
     grid = np.asarray(grid, dtype=float)
-    basis = build_m0_basis(p.L)
     solver_options = solver_options or {}
     records: list[FidelityRecord] = []
     for i, lam in enumerate(grid):
         record = FidelityRecord(lam=float(lam), epsilon=float(epsilon),
                                 F=0j, chi_fd=0j, definition_tag=definition_tag)
         try:
-            ga = ground_state(_with(p, direction, lam), method=method,
-                              basis=basis, seed=seed + 2 * i, tol_real=tol_real,
-                              **solver_options)
-            gb = ground_state(_with(p, direction, lam + epsilon), method=method,
-                              basis=basis, seed=seed + 2 * i + 1,
-                              tol_real=tol_real, **solver_options)
-            F = fidelity_variant(definition_tag, ga.left, ga.right,
-                                 gb.left, gb.right)
+            ga, gb, F = _ground_state_pair(
+                _with(p, direction, lam), _with(p, direction, lam + epsilon),
+                seed + 2 * i, seed + 2 * i + 1, definition_tag,
+                method=method, tol_real=tol_real, **solver_options)
             record.F = complex(F)
             record.chi_fd = chi_finite_difference(F, epsilon)
-            record.pt_class_a = ga.pt_class
-            record.pt_class_b = gb.pt_class
-            record.energy_a = ga.energy
-            record.energy_b = gb.energy
+            record.pt_class_a, record.pt_class_b = ga.pt_class, gb.pt_class
+            record.energy_a, record.energy_b = ga.energy, gb.energy
         except Exception as err:
             if on_error == "raise":
                 raise
@@ -463,11 +473,7 @@ def records_to_peak_input(records, L: int,
 def full_sector_spectrum(p: XxzParams, *,
                          dense_cap: int = DENSE_SECTOR_CAP) -> np.ndarray:
     """All sector eigenvalues, sorted by (Re, Im); spectral-portrait data."""
-    basis = build_m0_basis(p.L)
-    if basis.size > dense_cap:
-        raise DimTooLargeError(
-            f"sector dim {basis.size} exceeds dense cap {dense_cap}"
-        )
-    H = build_hamiltonian(p, basis).to_dense()
-    w = np.linalg.eigvals(H)
-    return w[np.lexsort((w.imag, w.real))]
+    dim = comb(p.L, p.L // 2)
+    if dim > dense_cap:      # checked before densifying: L=16 would take 2.6 GB
+        raise DimTooLargeError(f"sector dim {dim} exceeds dense cap {dense_cap}")
+    return dense_full_spectrum(build_hamiltonian(p).to_dense(), dim_cap=dense_cap)

@@ -158,3 +158,38 @@ class TestSubcommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "module,operation,seconds"
         assert len(lines) >= 4
+
+
+class TestBadInputExitCodes:
+    """Invalid input exits 2 with a message instead of a traceback."""
+
+    def test_ep_locate_xxz_unknown_direction(self):
+        assert run_cli("ep-locate", "--model", "xxz", "--direction", "v1",
+                       "--bracket", "0.0", "0.6", "-L", "8") == 2
+
+    def test_xxz_spectrum_negative_gamma(self, capsys):
+        assert run_cli("xxz-spectrum", "--jz", "1.0", "--gamma", "-1",
+                       "-L", "8") == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_ssh_bands_negative_u(self, capsys):
+        assert run_cli("ssh-bands", "--v1", "0.9", "--u", "-1", "-L", "11") == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_config_non_integer_count(self, tmp_path, capsys):
+        cfg = tmp_path / "frac.cfg"
+        cfg.write_text("[sweep]\nmodel = ssh\n[fixed]\nL = 11\nu = 0.1\n"
+                       "[axis]\nname = v1\nstart = 0.5\nstop = 0.9\ncount = 3.5\n")
+        out = tmp_path / "scan.csv"
+        assert run_cli("ssh-scan", "--config", str(cfg), "--out", str(out)) == 2
+        assert "count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_xxz_scan_odd_size(self, tmp_path):
+        out = tmp_path / "xxz.csv"
+        assert run_cli("xxz-scan", "--jz", "1.0", "--gamma", "0.0", "0.4", "3",
+                       "-L", "7", "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_sweep_option_not_accepted_by_ssh_bands(self):
+        assert run_cli("ssh-bands", "--v1", "0.9", "--epsilon", "1") == 2

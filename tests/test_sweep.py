@@ -332,3 +332,21 @@ class TestDenseFileModel:
         for p in result.points:
             assert p.error == ""
             assert p.L == 8
+
+
+class TestXxzSizeValidation:
+    # an odd chain, one shorter than 4 sites, and an M=0 sector of
+    # comb(30, 15) ~ 1.6e8 states, above the Lanczos basis cap
+    @pytest.mark.parametrize("L", [7, 2, 30])
+    def test_invalid_size_is_config_error(self, L):
+        cfg = tiny_xxz_config()
+        cfg.sizes = [6, L]
+        with pytest.raises(ConfigError, match=f"L={L}"):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            run_sweep(cfg)
+
+    def test_non_integer_count_names_the_key(self):
+        text = SSH_CONFIG.replace("count = 3", "count = 3.5")
+        with pytest.raises(ConfigError, match="count"):
+            parse_config(text)

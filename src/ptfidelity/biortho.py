@@ -22,7 +22,7 @@ from .errors import (
     UnpairableSpectrumError,
 )
 
-DEFAULT_EP_GUARD = 1e-12
+EP_GUARD = 1e-12           # raw-overlap floor of a non-defective pair
 DENSE_DIM_CAP = 20000
 
 
@@ -72,23 +72,23 @@ class BiorthogonalEigensystem:
         resolution = self.right_vectors @ self.left_vectors
         return float(np.abs(resolution - np.eye(self.dim)).max())
 
-    def ground_index(self, re_tie_tol: float | None = None) -> int:
+    def ground_index(self) -> int:
         """Index of the ground state: smallest Re E, tie-break largest Im E.
 
         The tie-break picks one fixed member of each PT pair; this is a
         toolkit convention (the notion of "ground state" is otherwise
         undefined once energies are complex).
         """
-        return ground_state_index(self.eigenvalues, re_tie_tol)
+        return ground_state_index(self.eigenvalues)
 
 
-def ground_state_index(eigenvalues: np.ndarray, re_tie_tol: float | None = None) -> int:
-    """Smallest-Re eigenvalue index, ties resolved toward largest Im."""
+def ground_state_index(eigenvalues: np.ndarray) -> int:
+    """Smallest-Re eigenvalue index, ties resolved toward largest Im; real
+    parts within ``1e-8`` times the spectral radius (at least 1) count as
+    tied."""
     w = np.asarray(eigenvalues)
-    if re_tie_tol is None:
-        re_tie_tol = 1e-8 * max(1.0, float(np.abs(w).max()))
-    re_min = w.real.min()
-    tied = np.nonzero(w.real <= re_min + re_tie_tol)[0]
+    re_tie_tol = 1e-8 * max(1.0, float(np.abs(w).max()))
+    tied = np.nonzero(w.real <= w.real.min() + re_tie_tol)[0]
     return int(tied[np.argmax(w.imag[tied])])
 
 
@@ -106,34 +106,26 @@ def gauge_factor(v: np.ndarray):
     return np.linalg.norm(mag, axis=0) * (pivot / np.abs(pivot))
 
 
-def biorthogonal_eig(
-    H,
-    *,
-    ep_guard: float = DEFAULT_EP_GUARD,
-    tol_pair: float | None = None,
-) -> BiorthogonalEigensystem:
+def biorthogonal_eig(H) -> BiorthogonalEigensystem:
     """Biorthogonally normalized eigensystem of a complex square matrix.
 
     One LAPACK call (``scipy.linalg.eig`` with ``left=True``) returns each
     eigenvalue with its left and right eigenvectors already paired.
-    Eigenvalues chained within ``tol_pair`` (by real part, then by imaginary
-    part inside each real-part run) form a cluster, re-biorthogonalized as a
-    block, which keeps the pairing well defined for diagonalizable matrices
-    with exact symmetry degeneracies.
+    Eigenvalues chained within ``1e-8`` times the spectral radius (by real
+    part, then by imaginary part inside each real-part run) form a cluster,
+    re-biorthogonalized as a block, which keeps the pairing well defined for
+    diagonalizable matrices with exact symmetry degeneracies.
 
     Parameters
     ----------
     H : (n, n) array_like
-    ep_guard : raw-overlap floor below which the matrix is reported as
-        defective (at or numerically at an exceptional point).
-    tol_pair : eigenvalue clustering tolerance; default ``1e-8`` times the
-        spectral radius.
 
     Raises
     ------
     DefectiveMatrixError
         If any pair's raw overlap (block smallest singular value) is below
-        ``ep_guard``.
+        ``EP_GUARD``: the matrix is at, or numerically at, an exceptional
+        point.
     """
     H = _as_square_complex(H)
     w, left, right = eig(H, left=True, check_finite=False)
@@ -144,8 +136,7 @@ def biorthogonal_eig(
     left = left.T[order]                          # unit rows once conjugated
     np.conjugate(left, out=left)
 
-    if tol_pair is None:
-        tol_pair = 1e-8 * max(float(np.abs(w).max()), 1e-300)
+    tol_pair = 1e-8 * max(float(np.abs(w).max()), 1e-300)
     runs = np.split(np.arange(len(w)), np.nonzero(np.diff(w.real) > tol_pair)[0] + 1)
     blocks = []
     for run in runs:
@@ -158,12 +149,12 @@ def biorthogonal_eig(
     for c, B in blocks:
         flags[c] = np.linalg.svd(B, compute_uv=False)[-1]
         overlap[c] = 1.0
-    bad = np.nonzero(flags < ep_guard)[0]
+    bad = np.nonzero(flags < EP_GUARD)[0]
     if bad.size:
         k = bad[0]
         raise DefectiveMatrixError(
             f"raw biorthogonal overlap {flags[k]:.3e} below ep_guard "
-            f"{ep_guard:.3e} near eigenvalue {w[k]}: matrix is at "
+            f"{EP_GUARD:.3e} near eigenvalue {w[k]}: matrix is at "
             "(or numerically at) an exceptional point"
         )
     left /= overlap[:, None]
@@ -193,7 +184,6 @@ class PTClassification:
     real_indices: tuple[int, ...]
     pair_map: dict[int, int]
     tol_real: float
-    tol_pair: float
 
     def is_broken(self, n: int) -> bool:
         return n in self.pair_map
@@ -209,21 +199,21 @@ class PTClassification:
 def classify_pt(
     es: BiorthogonalEigensystem | np.ndarray,
     tol_real: float | None = None,
-    tol_pair: float | None = None,
 ) -> PTClassification:
     """Classify eigenvalues as PT-unbroken (real) or conjugate-paired.
 
-    Complex eigenvalues are greedily paired with the nearest conjugate;
-    the number of complex eigenvalues of a PT-symmetric matrix is always
-    even, so a leftover raises ``UnpairableSpectrumError`` (broken PT
-    symmetry of the input, or too tight a tolerance).
+    ``tol_real`` defaults to ``1e-10`` times the spectral radius (at least
+    1).  Complex eigenvalues are greedily paired with the nearest conjugate
+    within ``1e-8`` times that scale; the number of complex eigenvalues of
+    a PT-symmetric matrix is always even, so a leftover raises
+    ``UnpairableSpectrumError`` (broken PT symmetry of the input, or too
+    tight a tolerance).
     """
     w = es.eigenvalues if isinstance(es, BiorthogonalEigensystem) else np.asarray(es)
     scale = max(float(np.abs(w).max()), 1.0)
     if tol_real is None:
         tol_real = 1e-10 * scale
-    if tol_pair is None:
-        tol_pair = 1e-8 * scale
+    tol_pair = 1e-8 * scale
 
     real_idx = [i for i in range(len(w)) if abs(w[i].imag) < tol_real]
     complex_idx = [i for i in range(len(w)) if abs(w[i].imag) >= tol_real]
@@ -253,7 +243,6 @@ def classify_pt(
         real_indices=tuple(real_idx),
         pair_map=pair_map,
         tol_real=tol_real,
-        tol_pair=tol_pair,
     )
 
 

@@ -1,4 +1,4 @@
-"""Command-line driver: sweeps, band tables, EP location, benchmarks.
+"""Command-line driver: sweeps, band tables, spectra and EP location.
 
 Exit codes: 0 on success, 2 for configuration errors (including
 invalid parameter values such as a negative ``--u`` or ``--gamma``), 3 for
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +31,7 @@ from .sweep import (
     _AXIS_NAMES,
     Axis,
     SweepConfig,
+    _convert,
     emit,
     parse_config,
     run_sweep,
@@ -47,25 +47,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     """Sweep options; every subcommand declares ``--out`` itself."""
     parser.add_argument("--epsilon", type=float, default=1e-3,
                         help="fidelity step (default 1e-3)")
-    parser.add_argument("--tol-real", type=float, default=None,
-                        help="imaginary-part threshold for PT classification")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for grid evaluation")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt", help="output format")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base random seed (Lanczos restarts)")
     parser.add_argument("--definition", choices=FIDELITY_TAGS,
                         default="metricized", help="fidelity definition")
 
 
+def _add_solver(parser: argparse.ArgumentParser) -> None:
+    """Options of the XXZ ground-state solves."""
+    parser.add_argument("--seed", type=int, default=0,
+                        help="base Lanczos seed")
+    parser.add_argument("--tol-real", type=float, default=None,
+                        help="imaginary-part threshold for PT classification")
+
+
 def _axis_arg(values, name) -> Axis | float:
+    key = f"--{name}"
     if len(values) == 1:
-        return float(values[0])
+        return _convert(float, key, values[0])
     if len(values) == 3:
-        return Axis(name=name, start=float(values[0]), stop=float(values[1]),
-                    count=int(float(values[2])))
-    raise ConfigError(f"--{name} takes one value or start stop count, got {values}")
+        return Axis(name=name, start=_convert(float, key, values[0]),
+                    stop=_convert(float, key, values[1]),
+                    count=_convert(int, f"{key} count", values[2]))
+    raise ConfigError(f"{key} takes one value or start stop count, got {values}")
 
 
 def _params(cls, **values):
@@ -96,11 +102,11 @@ def _build_sweep_config(args) -> SweepConfig:
     if model == "ssh" and len(sizes) == 1:
         fixed["L"] = sizes[0]
         sizes = []
+    solver = {k: getattr(args, k) for k in ("seed", "tol_real") if hasattr(args, k)}
     return SweepConfig(
         model=model, axes=axes, fixed=fixed, sizes=sizes,
         epsilon=args.epsilon, definition=args.definition,
-        seed=args.seed, threads=args.threads, tol_real=args.tol_real,
-        out=args.out, fmt=args.fmt,
+        threads=args.threads, out=args.out, fmt=args.fmt, **solver,
     )
 
 
@@ -225,7 +231,10 @@ def cmd_ep_locate(args) -> int:
         def fid_fn(sa, sb):
             return many_body_fidelity(replace(base, v1=sa.left), sa.left, sb.left).value
     else:
-        base = _params(XxzParams, jz=args.jz, gamma=args.gamma, L=args.L)
+        values = {"jz": args.jz, "gamma": args.gamma, "L": args.L}
+        base = _params(XxzParams, **values)
+        for x in (lo, hi):      # every probe lies between the bracket ends
+            _params(XxzParams, **{**values, args.direction: x})
 
         def is_broken(x):
             return is_broken_at(base, args.direction, x, seed=args.seed,
@@ -265,39 +274,6 @@ def cmd_ep_locate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .biortho import biorthogonal_eig
-    from .lanczos import complex_symmetric_lanczos
-    from .ssh import chi_total
-    from .xxz import build_hamiltonian
-
-    rng = np.random.default_rng(args.seed)
-    rows = []
-
-    def timeit(module, op, fn):
-        t0 = time.perf_counter()
-        fn()
-        rows.append([module, op, f"{time.perf_counter() - t0:.4f}"])
-
-    A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    timeit("biortho-core", "biorthogonal_eig dim=64", lambda: biorthogonal_eig(A))
-
-    timeit("ssh-model", "chi_total L=101 x 100 points",
-           lambda: [chi_total(SshParams(v1=v, v2=0.0, u=0.1, L=101))
-                    for v in np.linspace(0.5, 0.89, 100)])
-    timeit("ssh-model", "complex_berry_phase N=4096",
-           lambda: complex_berry_phase(SshParams(v1=0.5, u=0.2), band=-1))
-
-    p = XxzParams(jz=0.5, gamma=0.1, L=12)
-    H = build_hamiltonian(p)
-    timeit("xxz-model", "build_hamiltonian L=12", lambda: build_hamiltonian(p))
-    timeit("biortho-core", "lanczos L=12 sector",
-           lambda: complex_symmetric_lanczos(H, H.dim, rng=np.random.default_rng(0)))
-
-    _write_rows(args.out, ["module", "operation", "seconds"], rows)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptfidelity",
@@ -316,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 ("xxz", "spin-chain sweep over (gamma, jz)", 10)):
         scan = command(f"{model}-scan", cmd_scan, help_text, model=model)
         _add_common(scan)
+        if model == "xxz":      # SSH states and classes are closed form
+            _add_solver(scan)
         scan.add_argument("--config", default=None, help="sweep config file")
         for name in _AXIS_NAMES[model]:
             scan.add_argument(f"--{name}", nargs="+", default=None)
@@ -350,10 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ep = command("ep-locate", cmd_ep_locate,
                  "bisect a PT transition and run the one-half test")
-    ep.add_argument("--seed", type=int, default=0,
-                    help="Lanczos seed of every XXZ probe")
-    ep.add_argument("--tol-real", type=float, default=None,
-                    help="imaginary-part threshold for PT classification")
+    _add_solver(ep)
     ep.add_argument("--model", choices=("ssh", "xxz"), required=True)
     ep.add_argument("--bracket", type=float, nargs=2, required=True)
     ep.add_argument("--direction", choices=("gamma", "jz"), default="gamma",
@@ -367,9 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--jz", type=float, default=0.0)
     ep.add_argument("--gamma", type=float, default=0.0)
     ep.add_argument("-L", type=int, default=101)
-
-    bench = command("bench", cmd_bench, "per-module timing report")
-    bench.add_argument("--seed", type=int, default=0, help="random seed")
 
     return parser
 

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 DEFAULT_EPSILON = 1e-3
+DEGENERACY_GUARD = 1e-12       # smallest |E_0 - E_n| a perturbative sum divides by
 FIDELITY_TAGS = ("metricized", "RR", "LR-half-sum", "LR-sqrt-abs", "LR-sqrt")
 
 
@@ -84,24 +85,23 @@ def _matvec(V, x):
     return V @ x
 
 
-def _guard_denominators(w, ground_index, degeneracy_guard):
+def _guard_denominators(w, ground_index):
     gaps = np.abs(w - w[ground_index])
     gaps[ground_index] = np.inf
     m = float(gaps.min())
-    if m < degeneracy_guard:
+    if m < DEGENERACY_GUARD:
         raise DegenerateDenominatorError(
             f"|E_0 - E_n| = {m:.3e} below degeneracy guard "
-            f"{degeneracy_guard:.3e}: exceptional point or exact degeneracy"
+            f"{DEGENERACY_GUARD:.3e}: exceptional point or exact degeneracy"
         )
     return gaps
 
 
-def _excited_terms(es: BiorthogonalEigensystem, V, ground_index: int,
-                   degeneracy_guard: float):
+def _excited_terms(es: BiorthogonalEigensystem, V, ground_index: int):
     """``<L_0|V|R_n><L_n|V|R_0>`` and ``E_0 - E_n`` over the excited ``n``,
-    after the degeneracy guard on every gap."""
+    after ``DEGENERACY_GUARD`` on every gap."""
     w = es.eigenvalues
-    _guard_denominators(w, ground_index, degeneracy_guard)
+    _guard_denominators(w, ground_index)
     r0 = es.right_vectors[:, ground_index]
     l0 = es.left_vectors[ground_index]
     Varr = np.asarray(V)
@@ -112,42 +112,24 @@ def _excited_terms(es: BiorthogonalEigensystem, V, ground_index: int,
     return b[keep] * a[keep], w[ground_index] - w[keep]
 
 
-def chi_perturbative(
-    es: BiorthogonalEigensystem,
-    V,
-    ground_index: int,
-    *,
-    degeneracy_guard: float = 1e-12,
-) -> complex:
+def chi_perturbative(es: BiorthogonalEigensystem, V, ground_index: int) -> complex:
     """Susceptibility from the second-order sum over excited states.
 
     ``sum_{n != 0} <L_0|V|R_n><L_n|V|R_0> / (E_0 - E_n)^2`` with ``V`` the
     parameter derivative of the matrix (dense array, or 1-D array read as
     a diagonal operator).
     """
-    terms, gaps = _excited_terms(es, V, ground_index, degeneracy_guard)
+    terms, gaps = _excited_terms(es, V, ground_index)
     return complex(np.sum(terms / gaps**2))
 
 
-def second_order_energy(
-    es: BiorthogonalEigensystem,
-    V,
-    ground_index: int,
-    *,
-    degeneracy_guard: float = 1e-12,
-) -> complex:
+def second_order_energy(es: BiorthogonalEigensystem, V, ground_index: int) -> complex:
     """Second-order energy correction (first-power denominators)."""
-    terms, gaps = _excited_terms(es, V, ground_index, degeneracy_guard)
+    terms, gaps = _excited_terms(es, V, ground_index)
     return complex(np.sum(terms / gaps))
 
 
-def chi_rr_perturbative(
-    es: BiorthogonalEigensystem,
-    V,
-    ground_index: int,
-    *,
-    degeneracy_guard: float = 1e-12,
-) -> complex:
+def chi_rr_perturbative(es: BiorthogonalEigensystem, V, ground_index: int) -> complex:
     """Right-right susceptibility (self-normalized definition).
 
     Double sum over excited states with the right-vector overlap factor
@@ -155,7 +137,7 @@ def chi_rr_perturbative(
     construction.
     """
     w = es.eigenvalues
-    _guard_denominators(w, ground_index, degeneracy_guard)
+    _guard_denominators(w, ground_index)
     R = es.right_vectors
     r0 = R[:, ground_index]
     r0 = r0 / np.linalg.norm(r0)
@@ -173,13 +155,13 @@ def chi_real_part(
     chi: complex,
     chi_partner: complex,
     *,
-    tol: float = 1e-9,
     tol_pair_chi: float = 1e-9,
 ) -> float:
     """Average of the susceptibility with its PT-partner value.
 
     In the PT-broken phase the partner susceptibility equals the complex
-    conjugate, so the average is the (always real) observable part.
+    conjugate, so the average is the (always real) observable part; an
+    imaginary part above ``1e-9`` (relative) is an error.
     """
     scale = max(1.0, abs(chi))
     if abs(chi_partner - np.conj(chi)) > tol_pair_chi * scale:
@@ -188,7 +170,7 @@ def chi_real_part(
             f"within {tol_pair_chi:.1e} (relative)"
         )
     avg = 0.5 * (chi + chi_partner)
-    if abs(avg.imag) > tol * scale:
+    if abs(avg.imag) > 1e-9 * scale:
         raise PartnerMismatchError(
             f"averaged susceptibility retains imaginary part {avg.imag:.3e}"
         )
@@ -201,19 +183,19 @@ def bisect_ep(
     hi: float,
     *,
     tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Bisection bracket of a PT transition along a parameter axis.
 
     Shrinks ``[lo, hi]`` (whose endpoints must have different PT classes)
-    until ``hi - lo <= tol``; returns the final bracket.
+    until ``hi - lo <= tol``, in at most 200 halvings; returns the final
+    bracket.
     """
     b_lo, b_hi = is_broken(lo), is_broken(hi)
     if b_lo == b_hi:
         raise NoTransitionError(
             f"endpoints {lo} and {hi} have the same PT class ({'broken' if b_lo else 'unbroken'})"
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -249,8 +231,6 @@ def one_half_ep_test(
     epsilon_schedule: Sequence[float] = (1e-2, 1e-3, 1e-4),
     a: float = 0.5,
     b: float = 0.5,
-    tol_half: float = 5e-3,
-    max_n: int = 6,
     fidelity_fn: Callable | None = None,
 ) -> OneHalfResult:
     """Test whether a PT transition is a second-order exceptional point.
@@ -265,9 +245,9 @@ def one_half_ep_test(
     the same value at a second-order EP.
 
     The verdict matches ``Re F`` at the smallest straddling ``eps``
-    against ``(1/2)**n``: for product states of independent modes the
-    crossing count ``n`` may exceed one, and a value matching no small
-    ``n`` indicates a higher-order EP.
+    against ``(1/2)**n`` for ``n = 1 ... 6``, within ``5e-3``: for product
+    states of independent modes the crossing count ``n`` may exceed one,
+    and a value matching no small ``n`` indicates a higher-order EP.
     """
     if a <= 0 or b <= 0:
         raise ValueError("asymmetry weights a, b must be positive")
@@ -307,8 +287,8 @@ def one_half_ep_test(
 
     re_f = last_straddling.real
     n_match = None
-    for n in range(1, max_n + 1):
-        if abs(re_f - 0.5**n) < tol_half:
+    for n in range(1, 7):
+        if abs(re_f - 0.5**n) < 5e-3:
             n_match = n
             break
     return OneHalfResult(
@@ -352,14 +332,14 @@ class PerturbationDirection:
 
     ``pt_permutation`` (a permutation array ``p`` such that the antiunitary
     symmetry acts as ``x -> conj(x)[p]``) enables validation that the
-    direction preserves PT symmetry: ``V[p][:, p].conj() == V``.
+    direction preserves PT symmetry: ``V[p][:, p].conj() == V`` to ``1e-12``.
     """
 
     matrix: np.ndarray
     description: str = ""
     pt_permutation: np.ndarray | None = None
 
-    def validate_pt(self, tol: float = 1e-12) -> float:
+    def validate_pt(self) -> float:
         if self.pt_permutation is None:
             raise ValueError("no PT permutation attached")
         p = np.asarray(self.pt_permutation)
@@ -367,8 +347,7 @@ class PerturbationDirection:
         if V.ndim == 1:
             V = np.diag(V)
         defect = float(np.abs(np.conj(V[np.ix_(p, p)]) - V).max())
-        if defect > tol:
+        if defect > 1e-12:
             raise ValueError(
-                f"direction breaks PT symmetry (defect {defect:.3e} > {tol:.1e})"
-            )
+                f"direction breaks PT symmetry (defect {defect:.3e} > 1.0e-12)")
         return defect

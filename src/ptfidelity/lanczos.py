@@ -35,6 +35,8 @@ from .errors import NoConvergenceError, QuasiNullBreakdownError
 KRYLOV_CAP = 80
 # Krylov steps between Ritz extractions
 RITZ_INTERVAL = 10
+# relative quasi-norm floor |<w,w>| / ||w||^2 of a Krylov vector
+BREAKDOWN_GUARD = 1e-14
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +70,6 @@ def complex_symmetric_lanczos(
     max_iter: int = 500,
     tol_resid: float = 1e-10,
     *,
-    breakdown_guard: float = 1e-14,
     restart_max: int = 5,
     rng: np.random.Generator | None = None,
 ) -> LanczosResult:
@@ -87,10 +88,11 @@ def complex_symmetric_lanczos(
     max_iter : total budget of Krylov steps (one matvec each) summed over
         all cycles; the true-residual checks come on top of it.
     tol_resid : target on the true residual ``||H x - E x||_2``.
-    breakdown_guard : relative quasi-norm floor ``|<w,w>| / ||w||^2`` below
-        which the iteration declares a quasi-null breakdown and reseeds
-        from a fresh random vector (up to ``restart_max`` times; an
-        invariant subspace without a converged pair reseeds the same way).
+
+    A Krylov vector whose relative quasi-norm falls below
+    ``BREAKDOWN_GUARD`` is a quasi-null breakdown: the iteration reseeds
+    from a fresh random vector (up to ``restart_max`` times; an invariant
+    subspace without a converged pair reseeds the same way).
 
     The result's ``iterations`` counts every Krylov step of every cycle,
     ``matvecs`` every application of ``matrix`` (the steps plus the
@@ -125,8 +127,7 @@ def complex_symmetric_lanczos(
     best_resid = np.inf
     while True:
         kind, cycle_steps, cycle_checks, result = _cycle(
-            apply, seed, basis, T, max_iter - steps, tol_resid,
-            breakdown_guard)
+            apply, seed, basis, T, max_iter - steps, tol_resid)
         steps += cycle_steps
         checks += cycle_checks
         if result is not None:
@@ -175,7 +176,7 @@ def _ritz_vector(T, theta, t_max):
     return y
 
 
-def _cycle(apply, seed, basis, T, budget, tol_resid, breakdown_guard):
+def _cycle(apply, seed, basis, T, budget, tol_resid):
     """One Lanczos cycle from ``seed`` of at most ``len(T)`` and at most
     ``budget`` Krylov steps.  Returns why it stopped, the steps it took, the
     true-residual checks it made and its best extracted Ritz pair (or
@@ -183,7 +184,7 @@ def _cycle(apply, seed, basis, T, budget, tol_resid, breakdown_guard):
     if budget <= 0:
         return "budget", 0, 0, None
     q0 = _bilinear(seed, seed)
-    if abs(q0) < breakdown_guard * max(np.linalg.norm(seed) ** 2, 1e-300):
+    if abs(q0) < BREAKDOWN_GUARD * max(np.linalg.norm(seed) ** 2, 1e-300):
         return "quasi-null", 0, 0, None
     m_cap = T.shape[0]
     basis[0] = seed / np.sqrt(q0)
@@ -235,7 +236,7 @@ def _cycle(apply, seed, basis, T, budget, tol_resid, breakdown_guard):
                 best = result
 
         q = _bilinear(w, w)
-        if abs(q) < breakdown_guard * nw**2:
+        if abs(q) < BREAKDOWN_GUARD * nw**2:
             return "quasi-null", m, checks, best
         beta = np.sqrt(q)
         T[m, m - 1] = T[m - 1, m] = beta

@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import ellipk, elliprf, elliprj
 
+from .biortho import DENSE_DIM_CAP
 from .errors import (
     AtExceptionalMomentumError,
     BrokenBranchZeroUError,
@@ -26,6 +27,7 @@ from .errors import (
 from .fidelity import fidelity_variant
 
 GOLDEN_V2 = 0.5 * (1.0 + np.sqrt(5.0))
+EDGE_CELLS = 4             # unit cells at each end that hold a boundary mode
 
 
 @dataclass(frozen=True)
@@ -361,8 +363,7 @@ def _cos_roots(p: SshParams) -> list[float]:
     return [c for c in roots if -1.0 <= c <= 1.0]
 
 
-def ep_momenta(p: SshParams, *, curve_v1_range=(0.05, 2.05),
-               curve_samples: int = 201) -> EPGeometry:
+def ep_momenta(p: SshParams) -> EPGeometry:
     """Exceptional momenta (roots of ``Delta_k``) and phase-boundary data.
 
     Solves ``Delta_k = 0`` as a quadratic in cos(k) (reducing to the
@@ -371,7 +372,7 @@ def ep_momenta(p: SshParams, *, curve_v1_range=(0.05, 2.05),
     phase-boundary lines ``v1 + v2 = w +/- u``, the threshold length
     ``L0 = 2*pi/|k2 - k1|`` when exactly two momenta exist, and a sampled
     locus of double roots (the discriminant-zero curve) in the (v1, u)
-    plane at this ``v2``.
+    plane at this ``v2``, on 201 values of ``v1`` in [0.05, 2.05].
     """
     ks: list[float] = []
     for c in _cos_roots(p):
@@ -388,7 +389,7 @@ def ep_momenta(p: SshParams, *, curve_v1_range=(0.05, 2.05),
 
     curve = []
     if p.v2 != 0.0:
-        for v1 in np.linspace(*curve_v1_range, curve_samples):
+        for v1 in np.linspace(0.05, 2.05, 201):
             # double root of the quadratic in cos(k): discriminant zero
             u2 = ((4 * v1 * p.v2 * (v1**2 + p.v2**2 + p.w**2 - 2 * v1 * p.v2)
                    - p.w**2 * (v1 + p.v2) ** 2) / (4 * v1 * p.v2))
@@ -407,18 +408,18 @@ def ep_momenta(p: SshParams, *, curve_v1_range=(0.05, 2.05),
     )
 
 
-def positive_divergence_curve(v2: float = 0.0, w: float = 1.0,
-                              n_k: int = 721) -> np.ndarray:
+def positive_divergence_curve(v2: float = 0.0, w: float = 1.0) -> np.ndarray:
     """Locus where the susceptibility numerator and ``Delta_k`` vanish together.
 
     Parametrized by momentum: eliminating ``u^2`` between the two
-    conditions leaves a quadratic for ``v1``; each momentum with a real,
-    nonnegative solution pair contributes a sample row ``(k, v1, u)``.
+    conditions leaves a quadratic for ``v1``; each of 721 momenta in
+    [0, 2*pi] with a real, nonnegative solution pair contributes a sample
+    row ``(k, v1, u)``.
     For ``v2 = 0`` the locus reduces to ``u = sqrt(w^2 - v1^2)`` (with
     ``v1 = -w cos k``), a curve through the Hermitian critical point.
     """
     rows = []
-    for k in np.linspace(0.0, 2 * np.pi, n_k):
+    for k in np.linspace(0.0, 2 * np.pi, 721):
         c, c2 = np.cos(k), np.cos(2 * k)
         # u^2 from the numerator condition
         a_num = (np.sin(k) ** 2 + v2 * (np.cos(k) - np.cos(3 * k))
@@ -458,8 +459,6 @@ class BoundaryMode:
 class OpenBoundaryResult:
     eigenvalues: np.ndarray
     boundary_modes: list[BoundaryMode]
-    edge_cells: int
-    threshold: float
 
 
 def open_boundary_matrix(p: SshParams) -> np.ndarray:
@@ -482,27 +481,25 @@ def open_boundary_matrix(p: SshParams) -> np.ndarray:
     return H
 
 
-def open_boundary_spectrum(p: SshParams, *, edge_cells: int = 4,
-                           threshold: float = 0.9,
-                           dim_cap: int = 20000) -> OpenBoundaryResult:
+def open_boundary_spectrum(p: SshParams) -> OpenBoundaryResult:
     """Open-chain spectrum with boundary-mode detection.
 
-    A state counts as a boundary mode when at least ``threshold`` of its
-    amplitude-squared weight sits within ``edge_cells`` unit cells of
+    A state counts as a boundary mode when at least 0.9 of its
+    amplitude-squared weight sits within ``EDGE_CELLS`` unit cells of
     either end; the dominant sublattice and edge side are reported.
     """
     if p.L < 4:
         raise ValueError("open-boundary analysis needs L >= 4")
-    if 2 * p.L > dim_cap:
-        raise DimTooLargeError(f"open chain dimension {2*p.L} exceeds {dim_cap}")
+    if 2 * p.L > DENSE_DIM_CAP:
+        raise DimTooLargeError(f"open chain dimension {2*p.L} exceeds {DENSE_DIM_CAP}")
     H = open_boundary_matrix(p)
     w, V = np.linalg.eig(H)
     order = np.lexsort((w.imag, w.real))
     w, V = w[order], V[:, order]
 
     cells = np.arange(2 * p.L) // 2
-    left_win = cells < edge_cells
-    right_win = cells >= p.L - edge_cells
+    left_win = cells < EDGE_CELLS
+    right_win = cells >= p.L - EDGE_CELLS
     up_leg = (np.arange(2 * p.L) % 2) == 0
 
     modes: list[BoundaryMode] = []
@@ -511,7 +508,7 @@ def open_boundary_spectrum(p: SshParams, *, edge_cells: int = 4,
         amp = amp / amp.sum()
         lw, rw = float(amp[left_win].sum()), float(amp[right_win].sum())
         edge = lw + rw
-        if edge < threshold:
+        if edge < 0.9:
             continue
         side = "both"
         if lw > 0.8 * edge:
@@ -526,10 +523,7 @@ def open_boundary_spectrum(p: SshParams, *, edge_cells: int = 4,
             down_weight=float(amp[~up_leg].sum()),
             side=side,
         ))
-    return OpenBoundaryResult(
-        eigenvalues=w, boundary_modes=modes,
-        edge_cells=edge_cells, threshold=threshold,
-    )
+    return OpenBoundaryResult(eigenvalues=w, boundary_modes=modes)
 
 
 @dataclass
@@ -556,18 +550,17 @@ def _berry_loop(p: SshParams, band: int, n_k: int) -> complex:
 
 def complex_berry_phase(p: SshParams, band: int = -1,
                         method: str = "numeric", *,
-                        n_k: int = 4096,
-                        richardson: bool = True) -> BerryPhase:
+                        n_k: int = 4096) -> BerryPhase:
     """Loop integral of the biorthogonal connection over the Brillouin zone.
 
     numeric
         Discretized loop product ``i * sum_j Log <L(k_j)|R(k_j+1)>`` on an
-        ``n_k``-point grid.  With ``richardson`` enabled the first-order
-        grid error is cancelled using a second pass at ``2 n_k`` and the
-        difference of the two passes is reported as a convergence check.
+        ``n_k``-point grid.  A second pass at ``2 n_k`` cancels the
+        first-order grid error (Richardson), and the difference of the two
+        passes is reported as a convergence check.
     analytic
-        Closed form for ``v2 = 0`` built from complete elliptic integrals
-        evaluated by quadrature of their defining integrands; valid in the
+        Closed form for ``v2 = 0`` built from the complete elliptic
+        integrals K and Pi (Pi in Carlson's symmetric form); valid in the
         PT-unbroken phase (``u < |w - v1|``).
 
     The real part is defined modulo ``2 pi``; the imaginary part diverges
@@ -577,8 +570,6 @@ def complex_berry_phase(p: SshParams, band: int = -1,
         raise ValueError("band must be +1 or -1")
     if method == "numeric":
         g1 = _berry_loop(p, band, n_k)
-        if not richardson:
-            return BerryPhase(value=g1, method=method, band=band, n_k=n_k)
         g2 = _berry_loop(p, band, 2 * n_k)
         return BerryPhase(
             value=2.0 * g2 - g1,
@@ -595,11 +586,8 @@ def complex_berry_phase(p: SshParams, band: int = -1,
             raise GridCrossesEPError(
                 "analytic Berry phase undefined at/beyond the PT boundary (y >= 1)"
             )
-        ellip_k = quad(lambda z: 1.0 / np.sqrt(1 - y * np.sin(z) ** 2),
-                       0.0, np.pi / 2, limit=200)[0]
-        ellip_pi = quad(lambda z: 1.0 / ((1 - x * np.sin(z) ** 2)
-                                         * np.sqrt(1 - y * np.sin(z) ** 2)),
-                        0.0, np.pi / 2, limit=200)[0]
+        ellip_k = ellipk(y)
+        ellip_pi = elliprf(0.0, 1 - y, 1.0) + x / 3 * elliprj(0.0, 1 - y, 1.0, 1 - x)
         real = np.pi if v1 / w > 1.0 else 0.0
         # branch sign fixed against the numeric loop for this band labeling
         imag = band * (u / (2 * w)) * np.sqrt(y * w / v1) * (

@@ -29,7 +29,13 @@ from .fidelity import (
     fidelity_variant,
 )
 from .ssh import SshParams, chi_total, ground_state_pt_class, lower_band_fidelities
-from .xxz import LANCZOS_BASIS_CAP, XxzParams, _ground_state_pair
+from .xxz import (
+    LANCZOS_BASIS_CAP,
+    XxzParams,
+    _ground_state_pair,
+    _peak_value,
+    peak_and_extrapolate,
+)
 
 SCHEMA_VERSION = 1
 DIVERGENCE_FLOOR = -1.0e4          # per-site flag threshold for EP lines
@@ -326,7 +332,7 @@ class _DenseFileEvaluator(_Evaluator):
     def _ground(self, lam: float):
         es = biorthogonal_eig(self.H0 + lam * self.V)
         g = es.ground_index()
-        pt = "broken" if classify_pt(es).is_broken(g) else "unbroken"
+        pt = "broken" if classify_pt(es, self.cfg.tol_real).is_broken(g) else "unbroken"
         return es.left_vectors[g], es.right_vectors[:, g], pt
 
     def _pair(self, point: PointResult, shifted: dict[str, float]):
@@ -422,15 +428,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     peak_table: list[dict] = []
     extrapolation = None
     if len(sizes) >= 3 and len(cfg.axes) == 1:
-        from .xxz import peak_and_extrapolate
         data = {}
         for L in sizes:
             sub = [p for p in points if p.L == evaluators[L].L]
             x = np.array([p.axis_values[axis_names[0]] for p in sub])
-            y = np.array([
-                np.nan if (p.error or "straddle" in p.ep_flag) else p.re_chi_density
-                for p in sub
-            ])
+            y = np.array([_peak_value(p.re_chi_density, p.F, p.error,
+                                      "straddle" in p.ep_flag) for p in sub])
             data[L] = (x, y)
         try:
             ext = peak_and_extrapolate(data)

@@ -83,14 +83,15 @@ class M0Basis:
         return int(self.states[index])
 
 
-def build_m0_basis(L: int, *, basis_cap: int = LANCZOS_BASIS_CAP) -> M0Basis:
-    """Enumerate the M=0 sector in ascending bit-pattern order."""
+def build_m0_basis(L: int) -> M0Basis:
+    """Enumerate the M=0 sector in ascending bit-pattern order, up to
+    ``LANCZOS_BASIS_CAP`` states."""
     if L % 2:
         raise OddLError(f"M=0 sector needs even L, got {L}")
     size = comb(L, L // 2)
-    if size > basis_cap:
+    if size > LANCZOS_BASIS_CAP:
         raise BasisCapExceededError(
-            f"M=0 sector of L={L} has {size} states, above cap {basis_cap}"
+            f"M=0 sector of L={L} has {size} states, above cap {LANCZOS_BASIS_CAP}"
         )
     # Gosper's hack over fixed-popcount words, ascending
     states = np.empty(size, dtype=np.int64)
@@ -366,12 +367,10 @@ def fidelity_scan(
 
 
 def is_broken_at(p: XxzParams, direction: str, value: float, *,
-                 method: str = "lanczos", seed: int = 0,
-                 tol_real: float | None = None) -> bool:
-    """PT class probe used by EP bisection."""
-    g = ground_state(_with(p, direction, value), method=method, seed=seed,
-                     tol_real=tol_real)
-    return g.is_broken
+                 seed: int = 0, tol_real: float | None = None) -> bool:
+    """PT class of the Lanczos ground state; the probe of EP bisection."""
+    return ground_state(_with(p, direction, value), seed=seed,
+                        tol_real=tol_real).is_broken
 
 
 @dataclass
@@ -447,33 +446,29 @@ def peak_and_extrapolate(
     )
 
 
-def records_to_peak_input(records, L: int,
-                          *, mask_straddles: bool = True,
-                          discontinuity_guard: float | None = 0.5,
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Convert scan records to (grid, Re chi / L) with unusable points masked.
-
-    Straddling records are masked (their finite difference measures the
-    one-half jump, not a susceptibility), as are records whose fidelity
-    sits far from 1 (``|1 - F| > discontinuity_guard``): those indicate
-    the tracked state changed discontinuously between the endpoints, e.g.
-    across an exact level crossing, where the finite difference is not a
-    derivative of anything.
+def _peak_value(value: float, F: complex, error: str, straddles: bool) -> float:
+    """``value`` of one scan point, or NaN when the point cannot feed a peak
+    fit: it failed, it straddles an EP (its finite difference measures the
+    one-half jump, not a susceptibility), or its fidelity sits far from 1
+    (``|1 - F| > 0.5``).  The last marks a tracked state that changed
+    discontinuously between the endpoints, e.g. across an exact level
+    crossing, where the finite difference is not a derivative of anything.
     """
+    return np.nan if error or straddles or abs(1.0 - F) > 0.5 else value
+
+
+def records_to_peak_input(records, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Convert scan records to (grid, Re chi / L), with the points that
+    ``_peak_value`` rejects set to NaN."""
     x = np.array([r.lam for r in records])
-    y = np.array([r.chi_fd.real / L for r in records])
-    bad = np.array([bool(r.error) for r in records])
-    if mask_straddles:
-        bad |= np.array([r.straddles_ep for r in records])
-    if discontinuity_guard is not None:
-        bad |= np.array([abs(1.0 - r.F) > discontinuity_guard for r in records])
-    return x, np.where(bad, np.nan, y)
+    y = np.array([_peak_value(r.chi_fd.real / L, r.F, r.error, r.straddles_ep)
+                  for r in records])
+    return x, y
 
 
-def full_sector_spectrum(p: XxzParams, *,
-                         dense_cap: int = DENSE_SECTOR_CAP) -> np.ndarray:
+def full_sector_spectrum(p: XxzParams) -> np.ndarray:
     """All sector eigenvalues, sorted by (Re, Im); spectral-portrait data."""
     dim = comb(p.L, p.L // 2)
-    if dim > dense_cap:      # checked before densifying: L=16 would take 2.6 GB
-        raise DimTooLargeError(f"sector dim {dim} exceeds dense cap {dense_cap}")
-    return dense_full_spectrum(build_hamiltonian(p).to_dense(), dim_cap=dense_cap)
+    if dim > DENSE_SECTOR_CAP:   # checked before densifying: L=16 would take 2.6 GB
+        raise DimTooLargeError(f"sector dim {dim} exceeds dense cap {DENSE_SECTOR_CAP}")
+    return dense_full_spectrum(build_hamiltonian(p).to_dense())

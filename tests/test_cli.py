@@ -151,14 +151,6 @@ class TestSubcommands:
         assert code == 3
         assert "NoTransition" in capsys.readouterr().err
 
-    def test_bench_runs(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = run_cli("bench", "--out", str(out))
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "module,operation,seconds"
-        assert len(lines) >= 4
-
 
 class TestBadInputExitCodes:
     """Invalid input exits 2 with a message instead of a traceback."""
@@ -193,3 +185,28 @@ class TestBadInputExitCodes:
 
     def test_sweep_option_not_accepted_by_ssh_bands(self):
         assert run_cli("ssh-bands", "--v1", "0.9", "--epsilon", "1") == 2
+
+    def test_ep_locate_xxz_negative_bracket_end(self, capsys):
+        # gamma = -0.1 would otherwise reach XxzParams in the first probe
+        assert run_cli("ep-locate", "--model", "xxz", "--jz", "1", "--bracket",
+                       "-0.1", "0.6", "-L", "6") == 2
+        assert "gamma must be nonnegative" in capsys.readouterr().err
+
+    def test_axis_value_not_a_number(self, capsys):
+        assert run_cli("ssh-scan", "--v1", "abc") == 2
+        assert "--v1 = 'abc'" in capsys.readouterr().err
+
+    def test_axis_count_not_an_integer(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert run_cli("ssh-scan", "--v1", "0.7", "0.9", "3.5", "--u", "0.1",
+                       "-L", "21", "--out", str(out)) == 2
+        assert "count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--seed", "--tol-real"])
+    def test_ssh_scan_has_no_solver_options(self, option, tmp_path):
+        # the closed-form SSH sweep would silently ignore either value
+        out = tmp_path / "scan.csv"
+        assert run_cli("ssh-scan", "--v1", "0.7", "0.9", "3", "--u", "0.1",
+                       "-L", "21", option, "5", "--out", str(out)) == 2
+        assert not out.exists()

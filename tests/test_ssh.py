@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -380,3 +384,17 @@ class TestBerryPhase:
             p = SshParams(v1=0.5, v2=0.0, u=u, L=8)   # boundary at u = 0.5
             vals.append(abs(complex_berry_phase(p, band=-1).value.imag))
         assert vals[0] < vals[1] < vals[2]
+
+    def test_package_import_leaves_out_scipy_integrate(self):
+        # the analytic phase takes its elliptic integrals from scipy.special
+        import ptfidelity
+
+        src = os.path.dirname(os.path.dirname(ptfidelity.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, ptfidelity, ptfidelity.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

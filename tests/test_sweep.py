@@ -334,6 +334,41 @@ class TestDenseFileModel:
             assert p.L == 8
 
 
+    def test_tol_real_reaches_pt_classification(self, tmp_path):
+        # eigenvalues +/- i sqrt(3 + lam(4 + lam)): broken under the default
+        # threshold, unbroken once tol_real exceeds their imaginary parts
+        sz = np.diag([1j, -1j])
+        np.save(tmp_path / "h0.npy", np.array([[0, 1], [1, 0]]) + 2 * sz)
+        np.save(tmp_path / "v.npy", sz)
+        cfg = SweepConfig(
+            model="dense-file",
+            axes=[Axis(name="lambda", start=0.0, stop=0.3, count=3)],
+            options={"h0": str(tmp_path / "h0.npy"), "v": str(tmp_path / "v.npy")},
+        )
+        classes = {(p.pt_class_a, p.pt_class_b) for p in run_sweep(cfg).points}
+        assert classes == {("broken", "broken")}
+        cfg.tol_real = 1e3
+        classes = {(p.pt_class_a, p.pt_class_b) for p in run_sweep(cfg).points}
+        assert classes == {("unbroken", "unbroken")}
+
+
+class TestPeakInput:
+    def test_level_crossing_point_does_not_feed_the_fit(self):
+        # at L=10, jz=-1.4 the ground state crosses a level between the
+        # endpoints: F ~ 1e-22 with both endpoints unbroken and no flag set,
+        # so only the |1 - F| guard keeps its 1e5 "peak" out of the fit
+        cfg = SweepConfig(model="xxz", axes=[Axis("jz", -1.5, -1.2, 4)],
+                          fixed={"gamma": 0.0}, sizes=[6, 8, 10], seed=13)
+        result = run_sweep(cfg)
+        crossing = next(p for p in result.points
+                        if p.L == 10 and abs(p.axis_values["jz"] + 1.4) < 1e-12)
+        assert abs(crossing.F) < 1e-12 and crossing.ep_flag == ""
+        peaks = {row["L"]: row for row in result.peak_table}
+        assert abs(peaks[10]["position"] - (-1.3)) < 1e-9
+        assert peaks[10]["height"] < 1.0
+        assert abs(result.extrapolation["intercept"] - (-0.694)) < 1e-3
+
+
 class TestXxzSizeValidation:
     # an odd chain, one shorter than 4 sites, and an M=0 sector of
     # comb(30, 15) ~ 1.6e8 states, above the Lanczos basis cap

@@ -12,6 +12,7 @@ from .biortho import (
     biorthogonal_eig,
     classify_pt,
     dense_full_spectrum,
+    dense_ground_pair,
     gauge_factor,
     ground_state_index,
     metric_operator,

@@ -6,6 +6,13 @@ conventional self-norm ``<r_n|r_n> = 1``.  The raw left/right overlap
 magnitude before renormalization is kept as a per-pair conditioning
 diagnostic: it tends to zero as the matrix approaches an exceptional
 point, where biorthogonal normalization becomes impossible.
+
+Two dense solvers share these conventions.  ``dense_ground_pair`` returns
+the spectrum and the single ground-state pair (eigenvalues plus one LU
+factorization), which is all a fidelity needs; only that pair must be
+non-defective.  ``biorthogonal_eig`` returns every pair, for callers that
+need the whole eigensystem (completeness, metric operator, PT partners),
+and requires every pair to be non-defective.
 """
 
 from __future__ import annotations
@@ -14,10 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eig
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .errors import (
     DefectiveMatrixError,
     DimTooLargeError,
+    NoConvergenceError,
     NotBrokenError,
     UnpairableSpectrumError,
 )
@@ -106,6 +115,74 @@ def gauge_factor(v: np.ndarray):
     return np.linalg.norm(mag, axis=0) * (pivot / np.abs(pivot))
 
 
+def _defective(overlap: float, energy) -> DefectiveMatrixError:
+    return DefectiveMatrixError(
+        f"raw biorthogonal overlap {overlap:.3e} below ep_guard "
+        f"{EP_GUARD:.3e} near eigenvalue {energy}: matrix is at "
+        "(or numerically at) an exceptional point"
+    )
+
+
+def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float]:
+    """Spectrum and biorthogonal ground-state pair of a dense matrix.
+
+    The eigenvalues come from ``dense_full_spectrum`` and the ground index
+    from ``ground_state_index``.  One LU factorization of ``H - E I`` then
+    serves three inverse-iteration solves per side from one fixed start
+    vector: plain solves give the right vector, transposed solves the left
+    covector.  Pivots below ``eps |H|_1`` are raised to it, as LAPACK's
+    inverse iteration does, so an exactly singular shift (a triangular or
+    zero ``H``) still gives the eigenvectors.  The right vector carries the
+    ``gauge_factor`` convention and the covector is scaled so that
+    ``left @ right == 1``.
+
+    Returns
+    -------
+    (eigenvalues, index, right, left, residual) : eigenvalues sorted by
+        (Re, Im) ascending, ``eigenvalues[index]`` the ground energy E, and
+        ``residual = |H right - E right|`` of the returned right vector.
+
+    Raises
+    ------
+    NoConvergenceError
+        If the right vector or the unit left covector leaves a residual
+        above ``1e-10 |H|_1``.
+    DefectiveMatrixError
+        If the raw overlap of the unit left and right vectors is below
+        ``EP_GUARD``: the ground pair is at, or numerically at, an
+        exceptional point.  No other eigenpair is checked.
+    """
+    H = _as_square_complex(H)
+    w = dense_full_spectrum(H)
+    g = ground_state_index(w)
+    energy = w[g]
+    norm1 = np.linalg.norm(H, 1)
+    shifted = H.copy()
+    shifted.flat[::len(H) + 1] -= energy
+    lu, piv, _ = zgetrf(shifted, overwrite_a=True)
+    pivot_floor = np.finfo(float).eps * norm1 or 1.0      # H = 0: any vector
+    small = np.flatnonzero(np.abs(lu.diagonal()) < pivot_floor)
+    lu[small, small] = pivot_floor
+    right = left = np.random.default_rng(0).standard_normal(len(H)).astype(complex)
+    for _ in range(3):
+        right = zgetrs(lu, piv, right)[0]
+        right /= np.linalg.norm(right)
+        left = zgetrs(lu, piv, left, trans=1)[0]
+        left /= np.linalg.norm(left)
+    right = right / gauge_factor(right)
+    residual = float(np.linalg.norm(H @ right - energy * right))
+    left_residual = float(np.linalg.norm(left @ H - energy * left))
+    bound = 1e-10 * norm1
+    if not (residual <= bound and left_residual <= bound):     # NaN fails too
+        raise NoConvergenceError(
+            f"dense inverse iteration left residual "
+            f"{max(residual, left_residual):.3e} at E={energy}")
+    overlap = left @ right
+    if not abs(overlap) >= EP_GUARD:
+        raise _defective(abs(overlap), energy)
+    return w, g, right, left / overlap, residual
+
+
 def biorthogonal_eig(H) -> BiorthogonalEigensystem:
     """Biorthogonally normalized eigensystem of a complex square matrix.
 
@@ -151,12 +228,7 @@ def biorthogonal_eig(H) -> BiorthogonalEigensystem:
         overlap[c] = 1.0
     bad = np.nonzero(flags < EP_GUARD)[0]
     if bad.size:
-        k = bad[0]
-        raise DefectiveMatrixError(
-            f"raw biorthogonal overlap {flags[k]:.3e} below ep_guard "
-            f"{EP_GUARD:.3e} near eigenvalue {w[k]}: matrix is at "
-            "(or numerically at) an exceptional point"
-        )
+        raise _defective(flags[bad[0]], w[bad[0]])
     left /= overlap[:, None]
     for c, B in blocks:
         left[c] = np.linalg.solve(B, left[c])

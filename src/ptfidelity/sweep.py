@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
+import scipy
 
 from ._version import VERSION as _version
-from .biortho import biorthogonal_eig, classify_pt
+from .biortho import classify_pt, dense_ground_pair
 from .errors import ConfigError, PtfidelityError
 from .fidelity import (
     DEFAULT_EPSILON,
@@ -45,6 +46,10 @@ _AXIS_NAMES = {
     "xxz": ("jz", "gamma"),
     "dense-file": ("lambda",),
 }
+# [sweep] keys a model never reads: a config file that sets one is refused,
+# and ``to_text`` leaves them out.  ``ssh`` configs may still set ``seed``,
+# which changes nothing there (existing ssh configs carry it).
+_UNUSED_KEYS = {"ssh": ("tol_real",), "dense-file": ("seed",)}
 
 
 @dataclass(frozen=True)
@@ -128,12 +133,14 @@ class SweepConfig:
         lines.append(f"model = {self.model}")
         lines.append(f"definition = {self.definition}")
         lines.append(f"epsilon = {self.epsilon!r}")
-        lines.append(f"seed = {self.seed}")
+        unused = _UNUSED_KEYS.get(self.model, ())
+        if "seed" not in unused:
+            lines.append(f"seed = {self.seed}")
         lines.append(f"threads = {self.threads}")
         lines.append(f"format = {self.fmt}")
         if self.out:
             lines.append(f"out = {self.out}")
-        if self.tol_real is not None:
+        if self.tol_real is not None and "tol_real" not in unused:
             lines.append(f"tol_real = {self.tol_real!r}")
         lines.append(f"divergence_floor = {self.divergence_floor!r}")
         for k, v in self.options.items():
@@ -207,13 +214,17 @@ def parse_config(text: str) -> SweepConfig:
         except KeyError as err:
             raise ConfigError(f"axis section missing {err}") from None
 
+    model = sweep.get("model", "")
+    for key in _UNUSED_KEYS.get(model, ()):
+        if key in sweep:
+            raise ConfigError(f"{model} sweeps do not use {key!r}; remove it")
     # numeric [sweep] keys share their SweepConfig field names and defaults
     typed = {"epsilon": float, "seed": int, "threads": int, "tol_real": float,
              "divergence_floor": float}
     known = {"model", "definition", "out", "format", *typed}
     options = {k: v for k, v in sweep.items() if k not in known}
     cfg = SweepConfig(
-        model=sweep.get("model", ""),
+        model=model,
         axes=axes,
         fixed=fixed,
         sizes=sizes,
@@ -324,16 +335,23 @@ class _XxzEvaluator(_Evaluator):
 
 
 class _DenseFileEvaluator(_Evaluator):
+    """Ground states of ``H0 + lambda V`` for matrices loaded from ``.npy``.
+
+    Each endpoint takes its ground pair from ``dense_ground_pair``, so only
+    that pair must be non-defective (a Jordan block elsewhere in the
+    spectrum is fine), and its PT class from ``classify_pt`` on the whole
+    spectrum, which also checks the input's conjugate pairing.
+    """
+
     def __init__(self, cfg: SweepConfig, L: int):
         self.H0 = np.load(cfg.options["h0"])
         self.V = np.load(cfg.options["v"])
         super().__init__(cfg, self.H0.shape[0])
 
     def _ground(self, lam: float):
-        es = biorthogonal_eig(self.H0 + lam * self.V)
-        g = es.ground_index()
-        pt = "broken" if classify_pt(es, self.cfg.tol_real).is_broken(g) else "unbroken"
-        return es.left_vectors[g], es.right_vectors[:, g], pt
+        w, g, right, left, _ = dense_ground_pair(self.H0 + lam * self.V)
+        pt = "broken" if classify_pt(w, self.cfg.tol_real).is_broken(g) else "unbroken"
+        return left, right, pt
 
     def _pair(self, point: PointResult, shifted: dict[str, float]):
         scan_axis = self.cfg.axes[-1].name
@@ -453,6 +471,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     provenance = {
         "toolkit_version": _version,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         "seed": cfg.seed,
         "epsilon": cfg.epsilon,
         "definition": cfg.definition,

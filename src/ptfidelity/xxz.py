@@ -18,19 +18,16 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import lu_factor, lu_solve
 
 from .biortho import (
     SparseComplexSymmetricMatrix,
     dense_full_spectrum,
-    gauge_factor,
-    ground_state_index,
+    dense_ground_pair,
 )
 from .errors import (
     BasisCapExceededError,
     DimTooLargeError,
     InsufficientSizesError,
-    NoConvergenceError,
     OddLError,
 )
 from .fidelity import DEFAULT_EPSILON, FidelityRecord, chi_finite_difference, fidelity_variant
@@ -218,27 +215,6 @@ def _covector(right: np.ndarray) -> tuple[np.ndarray, float]:
     return right / q, float(abs(q))
 
 
-def _inverse_iteration(H: np.ndarray, energy: complex) -> tuple[np.ndarray, float]:
-    """Unit eigenvector of dense ``H`` for its computed eigenvalue ``energy``.
-
-    A few inverse-iteration solves with the LU factors of ``H - energy I``
-    from a fixed start vector; raises when the final residual
-    ``|H x - energy x|`` exceeds ``1e-10 |H|_1``.
-    """
-    shifted = H.copy()
-    shifted.flat[::len(H) + 1] -= energy
-    lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
-    x = np.random.default_rng(0).standard_normal(len(H)).astype(complex)
-    for _ in range(3):
-        x = lu_solve(lu, x, check_finite=False)
-        x /= np.linalg.norm(x)
-    residual = float(np.linalg.norm(H @ x - energy * x))
-    if not residual <= 1e-10 * np.linalg.norm(H, 1):     # NaN fails too
-        raise NoConvergenceError(
-            f"dense inverse iteration left residual {residual:.3e} at E={energy}")
-    return x, residual
-
-
 def ground_state(
     p: XxzParams,
     *,
@@ -255,9 +231,13 @@ def ground_state(
 
     The deterministic selection rule (smallest real part, then largest
     imaginary part) picks one fixed member of the PT pair in the broken
-    phase.  ``method="dense"`` takes the eigenvalue from the full dense
-    spectrum and its vector from inverse iteration; it serves as the
-    oracle path for small sectors.  For ``method="lanczos"``,
+    phase.  ``method="dense"`` is the oracle path for small sectors: it
+    densifies the sector and takes the ground pair from
+    ``dense_ground_pair`` (full dense spectrum, then inverse iteration with
+    one LU factorization), so it raises ``NoConvergenceError`` above the
+    residual bound and ``DefectiveMatrixError`` on a defective ground pair;
+    ``residual`` is that of the returned right vector, and the covector
+    stays the plain transpose of it.  For ``method="lanczos"``,
     ``max_iter`` is the total Krylov-step budget summed over all restarts
     of the solve, and ``seed`` seeds the start vector and every reseed
     after a quasi-null breakdown (see ``complex_symmetric_lanczos``).
@@ -282,11 +262,8 @@ def ground_state(
             raise DimTooLargeError(
                 f"sector dim {dim} exceeds dense cap {DENSE_SECTOR_CAP}"
             )
-        H = matrix.to_dense()
-        w = np.linalg.eigvals(H)
-        energy = complex(w[ground_state_index(w)])
-        right, residual = _inverse_iteration(H, energy)
-        right = right / gauge_factor(right)
+        w, g, right, _, residual = dense_ground_pair(matrix.to_dense())
+        energy = complex(w[g])
     else:
         raise ValueError(f"unknown method {method!r}")
 

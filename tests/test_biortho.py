@@ -5,11 +5,13 @@ from ptfidelity import (
     AmbiguousPairingError,
     DefectiveMatrixError,
     DimTooLargeError,
+    NoConvergenceError,
     NotBrokenError,
     UnpairableSpectrumError,
     biorthogonal_eig,
     classify_pt,
     dense_full_spectrum,
+    dense_ground_pair,
     ground_state_index,
     metric_operator,
     pt_partner_state,
@@ -228,3 +230,58 @@ class TestGroundIndex:
     def test_plain_minimum(self):
         w = np.array([3.0 + 0j, -2.0 + 0j, 0.5 + 0j])
         assert ground_state_index(w) == 1
+
+
+class TestDenseGroundPair:
+    @pytest.mark.parametrize("n", [2, 7, 24, 48])
+    def test_matches_biorthogonal_eig_ground_pair(self, n, rng):
+        H = random_diagonalizable(n, rng)
+        es = biorthogonal_eig(H)
+        w, g, right, left, residual = dense_ground_pair(H)
+        k = es.ground_index()
+        assert g == k
+        assert np.abs(w - es.eigenvalues).max() < 1e-10 * np.abs(w).max()
+        assert np.abs(right - es.right_vectors[:, k]).max() < 1e-10
+        assert np.abs(left - es.left_vectors[k]).max() < 1e-10 * np.abs(left).max()
+        assert abs(left @ right - 1.0) < 1e-12
+        assert residual == pytest.approx(np.linalg.norm(H @ right - w[g] * right), rel=1e-12)
+        assert residual < 1e-10 * np.linalg.norm(H, 1)
+
+    def test_exactly_singular_shift(self):
+        # a diagonal matrix's computed ground energy is exact, so H - E I has
+        # an exactly zero pivot; the pivot floor still gives the eigenvector
+        w, g, right, left, _ = dense_ground_pair(np.diag([2.0, -1.0, 3.0]))
+        assert w[g] == -1.0
+        assert np.allclose(right, [0, 1, 0], atol=1e-15)
+        assert np.allclose(left, [0, 1, 0], atol=1e-15)
+        w, g, right, left, residual = dense_ground_pair(np.zeros((3, 3)))
+        assert residual == 0.0 and abs(left @ right - 1.0) < 1e-15
+
+    def test_only_the_ground_pair_must_be_non_defective(self):
+        # a Jordan block above the ground state: the full eigensystem is
+        # defective, the ground pair is not
+        H = np.zeros((4, 4))
+        H[:2, :2] = [[-3.0, 0.5], [0.5, -1.0]]
+        H[2:, 2:] = [[5.0, 1.0], [0.0, 5.0]]
+        with pytest.raises(DefectiveMatrixError):
+            biorthogonal_eig(H)
+        w, g, right, left, _ = dense_ground_pair(H)
+        assert abs(w[g] - (-2 - np.sqrt(1.25))) < 1e-12
+        assert np.abs(right[2:]).max() < 1e-15 and np.abs(left[2:]).max() < 1e-15
+
+    @pytest.mark.parametrize("H", [
+        np.array([[1j, 1.0], [1.0, -1j]]),                 # PT block at its EP
+        np.array([[5.0, 1.0], [0.0, 5.0]]),                # exact Jordan block
+    ])
+    def test_defective_ground_pair_raises(self, H):
+        with pytest.raises(DefectiveMatrixError, match="below ep_guard 1.000e-12"):
+            dense_ground_pair(H)
+
+    def test_residual_bound_raises_before_the_overlap_guard(self):
+        # the jz = 0, gamma = 1, L = 6 XXZ sector has a defective ground
+        # cluster that no inverse-iteration vector resolves
+        from ptfidelity.xxz import XxzParams, build_hamiltonian
+
+        H = build_hamiltonian(XxzParams(jz=0.0, gamma=1.0, L=6)).to_dense()
+        with pytest.raises(NoConvergenceError):
+            dense_ground_pair(H)

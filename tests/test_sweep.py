@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from ptfidelity import ConfigError
+from ptfidelity import ConfigError, biorthogonal_eig, classify_pt
 from ptfidelity.fidelity import FIDELITY_TAGS, fidelity_variant
 from ptfidelity.ssh import SshParams, ground_state_pt_class, single_particle_states
 from ptfidelity.sweep import (
@@ -84,6 +84,19 @@ class TestConfig:
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[sweep]\nmodel ssh\n")
+
+    @pytest.mark.parametrize("model, key", [("ssh", "tol_real"),
+                                            ("dense-file", "seed")])
+    def test_key_the_model_never_reads_is_refused(self, model, key):
+        text = ("[sweep]\nmodel = {}\nh0 = h0.npy\nv = v.npy\n{} = 5\n\n"
+                "[fixed]\nL = 21\n\n[axis]\nname = {}\nstart = 0.7\n"
+                "stop = 0.9\ncount = 3\n").format(
+                    model, key, "v1" if model == "ssh" else "lambda")
+        cfg = parse_config(text.replace(f"{key} = 5", ""))
+        setattr(cfg, key, 5)            # set in code: not echoed by to_text
+        assert parse_config(cfg.to_text()).axes == cfg.axes
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
 
 
 class TestRunSweep:
@@ -289,6 +302,17 @@ class TestEmit:
         assert result_to_dict(back) == result_to_dict(result)
 
 
+    def test_json_round_trip_keeps_library_versions(self):
+        import scipy
+
+        result = run_sweep(tiny_xxz_config())
+        buf = io.StringIO()
+        write_json(result, buf)
+        buf.seek(0)
+        back = read_json(buf)
+        assert back.provenance["numpy_version"] == np.__version__
+        assert back.provenance["scipy_version"] == scipy.__version__
+
     def test_csv_quotes_commas_and_quotes(self, tmp_path, rng):
         from conftest import random_pt_matrix
 
@@ -350,6 +374,82 @@ class TestDenseFileModel:
         cfg.tol_real = 1e3
         classes = {(p.pt_class_a, p.pt_class_b) for p in run_sweep(cfg).points}
         assert classes == {("unbroken", "unbroken")}
+
+
+    @staticmethod
+    def _dense_file_sweep(tmp_path, H0, V, start, stop, count, **cfg):
+        np.save(tmp_path / "h0.npy", H0)
+        np.save(tmp_path / "v.npy", V)
+        return run_sweep(SweepConfig(
+            model="dense-file", axes=[Axis(name="lambda", start=start, stop=stop,
+                                           count=count)],
+            options={"h0": str(tmp_path / "h0.npy"), "v": str(tmp_path / "v.npy")},
+            **cfg))
+
+    @pytest.mark.parametrize("n", [6, 11, 24, 40])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("definition", ["metricized", "RR"])
+    def test_matches_full_eigensystem_points(self, tmp_path, n, seed, definition):
+        # the ground pair alone reproduces what biorthogonal_eig plus
+        # ground_index gave for every point, value and PT class
+        from conftest import random_pt_matrix
+
+        rng = np.random.default_rng(seed)
+        H0, V = random_pt_matrix(n, rng), random_pt_matrix(n, rng)
+        result = self._dense_file_sweep(tmp_path, H0, V, -0.5, 0.5, 5,
+                                        definition=definition)
+
+        def ground(lam):
+            es = biorthogonal_eig(H0 + lam * V)
+            g = es.ground_index()
+            broken = classify_pt(es).is_broken(g)
+            return es.left_vectors[g], es.right_vectors[:, g], \
+                "broken" if broken else "unbroken"
+
+        for p in result.points:
+            lam = p.axis_values["lambda"]
+            la, ra, ca = ground(lam)
+            lb, rb, cb = ground(lam + 1e-3)
+            assert p.error == ""
+            assert abs(p.F - fidelity_variant(definition, la, ra, lb, rb)) < 1e-10
+            assert (p.pt_class_a, p.pt_class_b) == (ca, cb)
+
+    def test_jordan_block_above_the_ground_state_gives_a_value(self, tmp_path):
+        # H0 = diag(-3, -1) + [[5, 1], [0, 5]], a Jordan block in the excited
+        # levels; V mixes the two lowest levels only.  The full eigensystem
+        # is defective at every lambda, the ground pair is not.
+        H0 = np.zeros((4, 4))
+        H0[:2, :2] = np.diag([-3.0, -1.0])
+        H0[2:, 2:] = [[5.0, 1.0], [0.0, 5.0]]
+        V = np.zeros((4, 4))
+        V[0, 1] = V[1, 0] = 1.0
+        result = self._dense_file_sweep(tmp_path, H0, V, 0.0, 0.5, 3)
+        for p in result.points:
+            lam = p.axis_values["lambda"]
+            ends = [np.linalg.eigh(np.array([[-3.0, x], [x, -1.0]]))[1][:, 0]
+                    for x in (lam, lam + 1e-3)]
+            assert p.error == ""
+            assert abs(p.F - abs(ends[0] @ ends[1]) ** 2) < 1e-12
+            assert p.pt_class_a == p.pt_class_b == "unbroken"
+
+    def test_defective_ground_pair_is_an_in_band_error(self, tmp_path):
+        # lambda = 0 sits on the EP of the PT block [[i, 1], [1, -i]]
+        sz = np.diag([1j, -1j])
+        result = self._dense_file_sweep(
+            tmp_path, np.array([[0, 1], [1, 0]]) + sz, sz, 0.0, 0.2, 2)
+        assert result.points[0].error.startswith("DefectiveMatrixError")
+        assert "below ep_guard 1.000e-12" in result.points[0].error
+        assert result.points[1].error == ""
+
+    def test_unresolved_ground_cluster_is_an_in_band_error(self, tmp_path):
+        # the jz = 0, gamma = 1, L = 6 XXZ sector at lambda = 0
+        from ptfidelity.xxz import (XxzParams, build_hamiltonian, build_m0_basis,
+                                    staggered_field_direction)
+
+        H0 = build_hamiltonian(XxzParams(jz=0.0, gamma=1.0, L=6)).to_dense()
+        V = np.diag(staggered_field_direction(build_m0_basis(6)))
+        result = self._dense_file_sweep(tmp_path, H0, V, 0.0, 0.1, 2)
+        assert result.points[0].error.startswith("NoConvergenceError")
 
 
 class TestPeakInput:

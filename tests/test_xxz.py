@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -179,6 +183,27 @@ class TestGroundState:
         resid = np.linalg.norm(H @ g.right - g.energy * g.right)
         assert resid == pytest.approx(g.residual, rel=1e-6, abs=1e-15)
         assert g.residual < 1e-10 * np.linalg.norm(H, 1)
+
+    def test_dense_reports_its_residual_with_one_blas_thread(self):
+        # one BLAS thread rounds differently from the threaded default; the
+        # reported residual must be that of the returned, gauged vector
+        import ptfidelity
+
+        src = os.path.dirname(os.path.dirname(ptfidelity.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import numpy as np\n"
+                "from ptfidelity.xxz import XxzParams, build_hamiltonian, ground_state\n"
+                "p = XxzParams(jz=1.0, gamma=0.5, L=8)\n"
+                "g = ground_state(p, method='dense')\n"
+                "H = build_hamiltonian(p).to_dense()\n"
+                "r = np.linalg.norm(H @ g.right - g.energy * g.right)\n"
+                "print(repr(float(r)), repr(g.residual))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        resid, reported = map(float, proc.stdout.split())
+        assert resid == pytest.approx(reported, rel=1e-6, abs=1e-15)
 
     def test_dense_raises_instead_of_returning_a_bad_vector(self):
         # jz = 0, gamma = 1, L = 6 sits on a defective ground-state cluster,

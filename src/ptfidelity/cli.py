@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .sweep import (
     parse_config,
     run_sweep,
 )
-from .xxz import XxzParams, _with, full_sector_spectrum, ground_state, is_broken_at
+from .xxz import XxzParams, _with, full_sector_spectrum, ground_state
 
 
 def _fmt(x: float) -> str:
@@ -74,10 +75,10 @@ def _axis_arg(values, name) -> Axis | float:
     raise ConfigError(f"{key} takes one value or start stop count, got {values}")
 
 
-def _params(cls, **values):
-    """``cls(**values)``, with an invalid value reported as a config error."""
+def _params(fn, *args, **values):
+    """``fn(*args, **values)``, with an invalid value reported as a config error."""
     try:
-        return cls(**values)
+        return fn(*args, **values)
     except (ValueError, OddLError) as err:
         raise ConfigError(str(err)) from None
 
@@ -222,11 +223,11 @@ def cmd_ep_locate(args) -> int:
 
         n_lo = n_broken(lo)
 
-        def is_broken(v1):
-            return n_broken(v1) != n_lo
-
-        def state_fn(v1):
-            return v1, None, str(n_broken(v1))
+        # the class of a point is its count of broken momenta; every probe
+        # weighs 1, so the locator bisects
+        def point(v1):
+            n = n_broken(v1)
+            return v1, None, str(n), n != n_lo, 1.0
 
         def fid_fn(sa, sb):
             return many_body_fidelity(replace(base, v1=sa.left), sa.left, sb.left).value
@@ -236,18 +237,27 @@ def cmd_ep_locate(args) -> int:
         for x in (lo, hi):      # every probe lies between the bracket ends
             _params(XxzParams, **{**values, args.direction: x})
 
-        def is_broken(x):
-            return is_broken_at(base, args.direction, x, seed=args.seed,
-                                tol_real=args.tol_real)
-
-        def state_fn(x):
+        # |r^T r|**2 of the unit right vector is linear in the distance to
+        # a second-order EP on both sides: the locator's weight
+        def point(x):
             g = ground_state(_with(base, args.direction, x), seed=args.seed,
                              tol_real=args.tol_real)
-            return g.left, g.right, g.pt_class
+            return g.left, g.right, g.pt_class, g.is_broken, g.condition**2
 
         fid_fn = None
 
-    blo, bhi = bisect_ep(is_broken, lo, hi, tol=args.tol)
+    point = cache(point)    # the one-half test reuses the bracket-end states
+    probes = []
+
+    def probe(x):
+        _, _, pt_class, broken, weight = point(x)
+        probes.append([x, pt_class, weight])
+        return broken, weight
+
+    def state_fn(x):
+        return point(x)[:3]
+
+    blo, bhi = _params(bisect_ep, probe, lo, hi, tol=args.tol)
     result = one_half_ep_test(state_fn, blo, bhi, epsilon_schedule=schedule,
                               a=args.a, b=args.b, fidelity_fn=fid_fn)
     crossing = []
@@ -269,6 +279,8 @@ def cmd_ep_locate(args) -> int:
         "n_crossings": result.n_crossings,
         "re_f_trace": [[eps, F.real, F.imag] for eps, F in result.re_f_trace],
         "crossing_momenta": crossing,
+        "probes": probes,
+        "solves": point.cache_info().currsize,
     }
     _write_json(args.out, report)
     return 0
@@ -327,13 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("-L", type=int, default=10)
 
     ep = command("ep-locate", cmd_ep_locate,
-                 "bisect a PT transition and run the one-half test")
+                 "locate a PT transition (ITP bracket search) and run the "
+                 "one-half test")
     _add_solver(ep)
     ep.add_argument("--model", choices=("ssh", "xxz"), required=True)
     ep.add_argument("--bracket", type=float, nargs=2, required=True)
     ep.add_argument("--direction", choices=("gamma", "jz"), default="gamma",
                     help="XXZ scan parameter (SSH always scans v1)")
-    ep.add_argument("--tol", type=float, default=1e-6)
+    ep.add_argument("--tol", type=float, default=1e-6,
+                    help="width of the located bracket, hi - lo <= tol "
+                         "(not a number of halvings; default 1e-6)")
     ep.add_argument("--a", type=float, default=0.5)
     ep.add_argument("--b", type=float, default=0.5)
     ep.add_argument("--epsilon-schedule", type=float, nargs="+", default=None)

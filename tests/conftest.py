@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ptfidelity.ssh import SshParams, band_discriminant
+
 
 @pytest.fixture
 def rng():
@@ -50,3 +52,38 @@ def greedy_conjugate_closure_defect(w):
         used[j] = True
         worst = max(worst, float(d[j]))
     return worst
+
+
+def midpoint_bisection(is_broken, lo, hi, tol):
+    """Reference bisection: ``((lo, hi), probed points)``, every step at the
+    midpoint, at most 200 halvings."""
+    probed = [lo, hi]
+    b_lo = is_broken(lo)
+    is_broken(hi)
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        probed.append(mid)
+        if is_broken(mid) == b_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi), probed
+
+
+def recording(probe):
+    """``probe`` wrapped to append every argument to the returned list."""
+    probed = []
+
+    def wrapped(x):
+        probed.append(x)
+        return probe(x)
+    return wrapped, probed
+
+
+def ssh_broken_count(v1, u=0.2, L=101):
+    """Count of PT-broken grid momenta of the SSH ladder at ``v1`` (v2 = 0),
+    the class that SSH ``ep-locate`` and criterion 04 bisect on."""
+    p = SshParams(v1=v1, v2=0.0, u=u, L=L)
+    return int(np.sum(band_discriminant(p.momenta(), p) < 0))

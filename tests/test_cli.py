@@ -10,7 +10,7 @@ from ptfidelity import ground_state_index
 from ptfidelity.cli import main
 from ptfidelity.xxz import XxzParams, build_hamiltonian, build_m0_basis
 
-from conftest import greedy_conjugate_closure_defect
+from conftest import greedy_conjugate_closure_defect, midpoint_bisection, ssh_broken_count
 
 
 def run_cli(*argv):
@@ -151,6 +151,33 @@ class TestSubcommands:
         assert code == 3
         assert "NoTransition" in capsys.readouterr().err
 
+    def test_ep_locate_xxz_reports_probes_and_solves(self, tmp_path):
+        out = tmp_path / "ep.json"
+        assert run_cli("ep-locate", "--model", "xxz", "--jz", "1.0", "--bracket",
+                       "0.0", "0.6", "-L", "8", "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        probes = report["probes"]
+        # one solve per probe, and the one-half test adds only its 6 points
+        assert report["solves"] == len(probes) + 6
+        xs = [x for x, _, _ in probes]
+        assert xs[:2] == [0.0, 0.6] and len(set(xs)) == len(xs)
+        assert all(w >= 0 for _, _, w in probes)
+        classes = {x: c for x, c, _ in probes}
+        lo, hi = report["bracket"]
+        assert (classes[lo], classes[hi]) == ("unbroken", "broken")
+
+    def test_ep_locate_ssh_probes_are_bisection(self, tmp_path):
+        out = tmp_path / "ep.json"
+        assert run_cli("ep-locate", "--model", "ssh", "--v2", "0.0", "--u", "0.2",
+                       "--bracket", "1.08", "1.13", "-L", "101", "--tol", "1e-8",
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        bracket, probed = midpoint_bisection(
+            lambda v: ssh_broken_count(v) != ssh_broken_count(1.08), 1.08, 1.13, 1e-8)
+        assert report["bracket"] == list(bracket)
+        assert report["probes"] == [[x, str(ssh_broken_count(x)), 1] for x in probed]
+        assert report["solves"] == len(probed) + 6
+
 
 class TestBadInputExitCodes:
     """Invalid input exits 2 with a message instead of a traceback."""
@@ -191,6 +218,21 @@ class TestBadInputExitCodes:
         assert run_cli("ep-locate", "--model", "xxz", "--jz", "1", "--bracket",
                        "-0.1", "0.6", "-L", "6") == 2
         assert "gamma must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [
+        ("--model", "xxz", "--jz", "1", "-L", "8"),
+        ("--model", "ssh", "--u", "0.2", "-L", "101"),
+    ], ids=["xxz", "ssh"])
+    @pytest.mark.parametrize("bad", [
+        ("--bracket", "0", "0.6", "--tol", "-1"),
+        ("--bracket", "0", "0.6", "--tol", "0"),
+        ("--bracket", "0.6", "0.0"),
+    ], ids=["negative-tol", "zero-tol", "reversed-bracket"])
+    def test_ep_locate_bad_bracket(self, model, bad, tmp_path, capsys):
+        out = tmp_path / "ep.json"
+        assert run_cli("ep-locate", *model, *bad, "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_axis_value_not_a_number(self, capsys):
         assert run_cli("ssh-scan", "--v1", "abc") == 2

@@ -22,7 +22,13 @@ from ptfidelity import (
 from ptfidelity.fidelity import PerturbationDirection
 from ptfidelity.ssh import SshParams, bloch_matrix, single_particle_states
 
-from conftest import random_pt_matrix, reversal_permutation
+from conftest import (
+    midpoint_bisection,
+    random_pt_matrix,
+    recording,
+    reversal_permutation,
+    ssh_broken_count,
+)
 
 SIGMA_Z_DIR = np.array([[1j, 0.0], [0.0, -1j]])
 
@@ -322,6 +328,64 @@ class TestBisectEP:
     def test_same_class_raises(self):
         with pytest.raises(NoTransitionError):
             bisect_ep(lambda x: True, 0.0, 1.0)
+
+
+ROOT = 0.3712345678
+# weights of a transition at ROOT, as functions of x - ROOT
+WEIGHTS = {
+    "linear": abs,
+    "kinked": lambda d: (4.0 if d > 0 else 1.0) * abs(d),
+    "quadratic": lambda d: d * d,
+    "constant": lambda d: 3.7,
+    # the interpolation always lands next to one end of the bracket
+    "vanishing-broken": lambda d: 1e-12 if d > 0 else 1.0,
+    "vanishing-unbroken": lambda d: 1.0 if d > 0 else 0.0,
+    "erratic": lambda d: 1.0 + np.sin(1e7 * d),
+}
+
+
+class TestItpBracketSearch:
+    @pytest.mark.parametrize("make_probe, lo, hi, tol", [
+        (lambda: (lambda x: x > 0.37), 0.0, 1.0, 1e-9),
+        # criterion 04's probe: has the count of broken momenta changed?
+        (lambda: (lambda v: ssh_broken_count(v) != ssh_broken_count(1.08)),
+         1.08, 1.13, 1e-8),
+    ], ids=["step", "ssh-count"])
+    def test_boolean_probe_is_bisection(self, make_probe, lo, hi, tol):
+        probe, probed = recording(make_probe())
+        bracket = bisect_ep(probe, lo, hi, tol=tol)
+        ref_bracket, ref_probed = midpoint_bisection(make_probe(), lo, hi, tol)
+        assert probed == ref_probed
+        assert bracket == ref_bracket
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_at_most_one_probe_beyond_bisection(self, name, tol):
+        weight = WEIGHTS[name]
+        probe, probed = recording(lambda x: (x > ROOT, weight(x - ROOT)))
+        lo, hi = bisect_ep(probe, 0.0, 1.0, tol=tol)
+        _, ref_probed = midpoint_bisection(lambda x: x > ROOT, 0.0, 1.0, tol)
+        assert len(probed) <= len(ref_probed) + 1
+        assert lo <= ROOT < hi
+        assert hi - lo <= tol
+
+    def test_linear_weight_converges_superlinearly(self):
+        probe, probed = recording(lambda x: (x > ROOT, abs(x - ROOT)))
+        lo, hi = bisect_ep(probe, 0.0, 1.0, tol=1e-12)
+        _, ref_probed = midpoint_bisection(lambda x: x > ROOT, 0.0, 1.0, 1e-12)
+        assert lo <= ROOT < hi and hi - lo <= 1e-12
+        assert 3 * len(probed) <= len(ref_probed)
+
+    @pytest.mark.parametrize("lo, hi, tol", [
+        (0.0, 1.0, 0.0), (0.0, 1.0, -1.0), (0.0, 1.0, np.nan),
+        (0.0, 1.0, np.inf), (0.6, 0.0, 1e-6), (0.5, 0.5, 1e-6),
+        (0.0, np.inf, 1e-6), (np.nan, 1.0, 1e-6),
+    ])
+    def test_bad_bracket_raises_before_probing(self, lo, hi, tol):
+        probe, probed = recording(lambda x: x > 0.37)
+        with pytest.raises(ValueError):
+            bisect_ep(probe, lo, hi, tol=tol)
+        assert probed == []
 
 
 class TestPerturbationDirection:

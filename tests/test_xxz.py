@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from ptfidelity import (
     NoConvergenceError,
     OddLError,
     biorthogonal_eig,
+    bisect_ep,
     ground_state_index,
+    one_half_ep_test,
 )
 from ptfidelity.fidelity import FidelityRecord
 from ptfidelity.ssh import SshParams, band_discriminant
@@ -30,7 +33,7 @@ from ptfidelity.xxz import (
     staggered_field_direction,
 )
 
-from conftest import greedy_conjugate_closure_defect
+from conftest import greedy_conjugate_closure_defect, midpoint_bisection, recording
 
 
 def full_space_hamiltonian(L, jz, gamma):
@@ -352,3 +355,55 @@ class TestEPBisection:
         assert hi - lo <= 1e-6
         assert not is_broken_at(p, "gamma", lo)
         assert is_broken_at(p, "gamma", hi)
+
+
+def weighted_probe(base, direction):
+    """ITP probe on Lanczos ground states: the class and ``|r^T r|**2``."""
+    def probe(x):
+        g = ground_state(replace(base, **{direction: x}))
+        return g.is_broken, g.condition**2
+    return probe
+
+
+class TestItpLocator:
+    def test_quadratic_weight_at_jz0_within_one_probe_of_bisection(self):
+        # |r^T r| is linear in the distance to this EP, so the weight is
+        # quadratic and interpolation gains nothing
+        classify = weighted_probe(XxzParams(jz=0.0, gamma=0.0, L=12), "gamma")
+        probe, probed = recording(classify)
+        lo, hi = bisect_ep(probe, 0.0, 0.6, tol=1e-6)
+        _, ref_probed = midpoint_bisection(lambda x: x > 0.5 * (lo + hi), 0.0, 0.6, 1e-6)
+        assert len(probed) <= len(ref_probed) + 1
+        assert hi - lo <= 1e-6
+        assert classify(lo)[0] != classify(hi)[0]
+
+    def test_linear_weight_at_jz1_takes_at_most_12_probes(self):
+        probe, probed = recording(weighted_probe(XxzParams(jz=1.0, gamma=0.0, L=12), "gamma"))
+        lo, hi = bisect_ep(probe, 0.0, 0.6, tol=1e-6)
+        assert hi - lo <= 1e-6
+        assert len(probed) <= 12
+
+    @pytest.mark.parametrize("L", [8, 10])
+    @pytest.mark.parametrize("direction, base, bracket", [
+        ("gamma", dict(jz=1.0, gamma=0.0), (0.0, 0.6)),
+        ("jz", dict(jz=0.0, gamma=0.2), (0.0, 2.0)),
+    ], ids=["gamma", "jz"])
+    def test_lanczos_locator_overlaps_dense_bisection(self, L, direction, base, bracket):
+        base = XxzParams(L=L, **base)
+        basis = build_m0_basis(L)
+
+        def dense_broken(x):
+            H = build_hamiltonian(replace(base, **{direction: x}), basis)
+            w = np.linalg.eigvals(H.to_dense())
+            return abs(w[ground_state_index(w)].imag) > 1e-8
+
+        d_lo, d_hi = bisect_ep(dense_broken, *bracket, tol=1e-9)
+        lo, hi = bisect_ep(weighted_probe(base, direction), *bracket, tol=1e-9)
+        assert hi - lo <= 1e-9
+        assert lo <= d_hi and d_lo <= hi
+
+        def state_fn(x):
+            g = ground_state(replace(base, **{direction: x}))
+            return g.left, g.right, g.pt_class
+
+        assert one_half_ep_test(state_fn, lo, hi).n_crossings == 1

@@ -10,8 +10,10 @@ its accuracy as the basis grows.  Every ``RITZ_INTERVAL`` steps the Ritz
 values come from ``eigvals(T)``; only the wanted Ritz vector is formed, by
 inverse iteration on ``T - theta I``.  A cycle keeps at most ``KRYLOV_CAP``
 Krylov vectors (memory ``KRYLOV_CAP + 1`` vectors of the matrix dimension)
-and restarts from its best Ritz vector when it reaches that size or when
-the true residual stops halving between two extractions.
+and restarts when it reaches that size or when the true residual stops
+halving between two extractions: from its best Ritz vector if that vector's
+residual is finite and below the start vector's, else from a fresh random
+vector.
 """
 
 from __future__ import annotations
@@ -89,25 +91,30 @@ def complex_symmetric_lanczos(
         all cycles; the true-residual checks come on top of it.
     tol_resid : target on the true residual ``||H x - E x||_2``.
 
-    A Krylov vector whose relative quasi-norm falls below
-    ``BREAKDOWN_GUARD`` is a quasi-null breakdown: the iteration reseeds
-    from a fresh random vector (up to ``restart_max`` times; an invariant
-    subspace without a converged pair reseeds the same way).
+    A cycle ends when it reaches ``KRYLOV_CAP`` vectors or its true
+    residual fails to halve between two extractions.  The next cycle starts
+    from the cycle's best Ritz vector if that vector's residual is finite
+    and below the start vector's own ``||H v0 - a v0|| / ||v0||``; otherwise
+    the cycle made no progress (a near-breakdown can blow the projection up
+    to a Ritz residual of 1e98), and the iteration reseeds from a fresh
+    random vector of ``rng``.  A Krylov vector whose relative quasi-norm
+    falls below ``BREAKDOWN_GUARD`` (a quasi-null breakdown), and an
+    invariant subspace without a converged pair, reseed the same way.  At
+    most ``restart_max`` reseeds are made.
 
     The result's ``iterations`` counts every Krylov step of every cycle,
     ``matvecs`` every application of ``matrix`` (the steps plus the
-    true-residual checks), and ``restarts`` every restart: reseeds as above,
-    and restarts from the cycle's best Ritz vector when it reaches
-    ``KRYLOV_CAP`` vectors or its true residual fails to halve between two
-    extractions.
+    true-residual checks), and ``restarts`` every restart, reseeds
+    included.
 
     Raises
     ------
     QuasiNullBreakdownError
-        After ``restart_max`` reseeds.
+        After ``restart_max`` reseeds, the last one for a breakdown.
     NoConvergenceError
-        If the smallest-Re Ritz pair has not met ``tol_resid`` when the
-        ``max_iter`` budget is spent.
+        After ``restart_max`` reseeds, the last one for a cycle without
+        progress, or if the smallest-Re Ritz pair has not met ``tol_resid``
+        when the ``max_iter`` budget is spent.
     """
     apply = _resolve_apply(matrix)
     if rng is None:
@@ -126,7 +133,7 @@ def complex_symmetric_lanczos(
     steps = checks = restarts = reseeds = 0
     best_resid = np.inf
     while True:
-        kind, cycle_steps, cycle_checks, result = _cycle(
+        kind, cycle_steps, cycle_checks, result, start_resid = _cycle(
             apply, seed, basis, T, max_iter - steps, tol_resid)
         steps += cycle_steps
         checks += cycle_checks
@@ -144,12 +151,14 @@ def complex_symmetric_lanczos(
         restarts += 1
         log.debug("restart after cycle %d: %s, best residual %.3e, "
                   "%d iterations", restarts, kind, best_resid, steps)
-        if kind in ("quasi-null", "invariant"):
+        breakdown = kind in ("quasi-null", "invariant")
+        if breakdown or not result.residual < start_resid:   # also NaN
             reseeds += 1
             if reseeds > restart_max:
-                raise QuasiNullBreakdownError(
-                    f"{kind} breakdown persisted through {restart_max} "
-                    f"restarts (best residual {best_resid:.3e})"
+                error = QuasiNullBreakdownError if breakdown else NoConvergenceError
+                raise error(
+                    f"{kind} cycle after {restart_max} reseeds "
+                    f"(best residual {best_resid:.3e})"
                 )
             seed = random_seed()
         else:
@@ -179,13 +188,15 @@ def _ritz_vector(T, theta, t_max):
 def _cycle(apply, seed, basis, T, budget, tol_resid):
     """One Lanczos cycle from ``seed`` of at most ``len(T)`` and at most
     ``budget`` Krylov steps.  Returns why it stopped, the steps it took, the
-    true-residual checks it made and its best extracted Ritz pair (or
-    None)."""
+    true-residual checks it made, its best extracted Ritz pair (or None) and
+    the relative residual ``||H v0 - a v0|| / ||v0||`` of the start vector
+    (inf before the first step)."""
+    start_resid = np.inf
     if budget <= 0:
-        return "budget", 0, 0, None
+        return "budget", 0, 0, None, start_resid
     q0 = _bilinear(seed, seed)
     if abs(q0) < BREAKDOWN_GUARD * max(np.linalg.norm(seed) ** 2, 1e-300):
-        return "quasi-null", 0, 0, None
+        return "quasi-null", 0, 0, None, start_resid
     m_cap = T.shape[0]
     basis[0] = seed / np.sqrt(q0)
     T[:] = 0.0
@@ -210,6 +221,8 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
         t_max = max(t_max, np.abs(T[:m, m - 1]).max())
 
         nw = np.linalg.norm(w)
+        if m == 1:
+            start_resid = nw / np.linalg.norm(v)
         invariant = nw <= 1e-13 * max(t_max, 1.0)
         last = invariant or m == m_cap or m == budget
         if last or m % RITZ_INTERVAL == 0:
@@ -224,20 +237,20 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
                 checks += 1
                 result = LanczosResult(complex(theta[t]), x, resid, 0, 0)
                 if resid <= tol_resid:
-                    return "converged", m, checks, result
+                    return "converged", m, checks, result, start_resid
                 if invariant:
-                    return "invariant", m, checks, result
+                    return "invariant", m, checks, result, start_resid
                 if best is not None and resid > 0.5 * best.residual:
                     return "stagnation", m, checks, min(
-                        best, result, key=lambda r: r.residual)
+                        best, result, key=lambda r: r.residual), start_resid
                 if last:
                     kind = "budget" if m == budget else "krylov-cap"
-                    return kind, m, checks, result
+                    return kind, m, checks, result, start_resid
                 best = result
 
         q = _bilinear(w, w)
         if abs(q) < BREAKDOWN_GUARD * nw**2:
-            return "quasi-null", m, checks, best
+            return "quasi-null", m, checks, best, start_resid
         beta = np.sqrt(q)
         T[m, m - 1] = T[m - 1, m] = beta
         t_max = max(t_max, abs(beta))

@@ -3,7 +3,10 @@
 A sweep walks the Cartesian product of its axes (last axis is the scan
 direction for fidelity records), evaluates every grid point in a work
 queue shared by ``threads`` workers, and assembles results in canonical
-grid order so output is independent of scheduling.  Per-point failures
+grid order so output is independent of scheduling.  Points share no solver
+state: an XXZ point starts the Lanczos solve of its shifted endpoint from
+its own ground state, never from a neighbouring point's, and seeds its
+random start from its own grid index.  Per-point failures
 (exceptional points are expected inside broken-phase scans) are recorded
 in-band in the point's ``error`` field and never abort the sweep.
 """

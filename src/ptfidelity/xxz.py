@@ -35,6 +35,13 @@ from .lanczos import complex_symmetric_lanczos
 
 LANCZOS_BASIS_CAP = comb(28, 14)       # ~4.0e7 configurations
 DENSE_SECTOR_CAP = 5000
+# relative weight of the random part added to a given Lanczos start vector.
+# A start vector inside one symmetry block of the sector never leaves it and
+# misses a level of another block that has crossed below.  With this part,
+# such a level is missed only within about tol_resid * sqrt(dim) /
+# START_NOISE (2e-5 at L=10) of the crossing.  Weights down to 1e-6 took as
+# many Krylov steps on L=10 fidelity scans
+START_NOISE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -189,7 +196,9 @@ class XxzGroundState:
 
     ``left`` is the covector (unconjugated transpose of ``right``, scaled
     so the pairing is 1); ``condition`` records ``|r^T r|``, which tends
-    to zero on approach to an exceptional point.
+    to zero on approach to an exceptional point.  ``iterations``,
+    ``restarts`` and ``matvecs`` are the Lanczos solver's counts (see
+    ``LanczosResult``); they are 0 for ``method="dense"``.
     """
 
     params: XxzParams
@@ -200,6 +209,9 @@ class XxzGroundState:
     condition: float
     method: str
     residual: float = 0.0
+    iterations: int = 0
+    restarts: int = 0
+    matvecs: int = 0
 
     @property
     def is_broken(self) -> bool:
@@ -237,10 +249,15 @@ def ground_state(
     one LU factorization), so it raises ``NoConvergenceError`` above the
     residual bound and ``DefectiveMatrixError`` on a defective ground pair;
     ``residual`` is that of the returned right vector, and the covector
-    stays the plain transpose of it.  For ``method="lanczos"``,
-    ``max_iter`` is the total Krylov-step budget summed over all restarts
-    of the solve, and ``seed`` seeds the start vector and every reseed
-    after a quasi-null breakdown (see ``complex_symmetric_lanczos``).
+    stays the plain transpose of it; it ignores ``v0``, ``seed`` and
+    ``max_iter``.  For ``method="lanczos"``, ``max_iter`` is the total
+    Krylov-step budget summed over all restarts of the solve.  The start
+    vector is random from ``seed``, or ``v0`` (for example the ground state
+    of nearby parameters) plus a random part of relative weight
+    ``START_NOISE`` from ``seed``, which keeps every symmetry block of the
+    sector in reach.  ``seed`` also seeds every reseed from a random
+    vector, after a breakdown or a cycle that ends with a worse residual
+    than it started from (see ``complex_symmetric_lanczos``).
     ``matrix`` may be any operator of the sector's dimension; ``basis`` is
     only checked against ``p.L`` when the matrix is built here.
     """
@@ -250,13 +267,20 @@ def ground_state(
     if tol_real is None:
         tol_real = 1e-10 * _norm_estimate(p)
 
+    counts = {}
     if method == "lanczos":
         rng = np.random.default_rng(seed)
+        if v0 is not None:
+            noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v0 = (v0 / np.linalg.norm(v0)
+                  + START_NOISE * noise / np.linalg.norm(noise))
         res = complex_symmetric_lanczos(
             matrix, dim, v0=v0, max_iter=max_iter,
             tol_resid=tol_resid, rng=rng,
         )
         energy, right, residual = res.eigenvalue, res.vector, res.residual
+        counts = dict(iterations=res.iterations, restarts=res.restarts,
+                      matvecs=res.matvecs)
     elif method == "dense":
         if dim > DENSE_SECTOR_CAP:
             raise DimTooLargeError(
@@ -272,7 +296,7 @@ def ground_state(
     return XxzGroundState(
         params=p, energy=energy, right=right, left=left,
         pt_class=pt_class, condition=condition, method=method,
-        residual=residual,
+        residual=residual, **counts,
     )
 
 
@@ -287,10 +311,18 @@ def _with(p: XxzParams, direction: str, value: float) -> XxzParams:
 def _ground_state_pair(pa: XxzParams, pb: XxzParams, seed_a: int, seed_b: int,
                        definition_tag: str, **solve,
                        ) -> tuple[XxzGroundState, XxzGroundState, complex]:
-    """Ground states at ``pa`` and ``pb`` (Lanczos seeds ``seed_a`` and
-    ``seed_b``; ``solve`` goes to ``ground_state``) and their fidelity."""
+    """Ground states at ``pa`` and ``pb`` and their fidelity.
+
+    ``pb`` is a small shift of ``pa`` (``lam + epsilon``), so its solve
+    starts from the ground state at ``pa``, an O(epsilon) perturbation of
+    the one it seeks, and needs fewer Krylov steps than a random start.
+    ``seed_a`` seeds the random start at ``pa``, and ``seed_b`` the random
+    part of the start at ``pb`` and any reseed there; ``solve`` goes to
+    ``ground_state``.  Both solves stay inside this call, so a pair depends
+    on nothing but its arguments.
+    """
     ga = ground_state(pa, seed=seed_a, **solve)
-    gb = ground_state(pb, seed=seed_b, **solve)
+    gb = ground_state(pb, seed=seed_b, v0=ga.right, **solve)
     return ga, gb, fidelity_variant(definition_tag, ga.left, ga.right,
                                     gb.left, gb.right)
 
@@ -312,8 +344,10 @@ def fidelity_scan(
 
     Each grid value compares the tracked ground states at ``lam`` and
     ``lam + epsilon``; records whose endpoint PT classes differ straddle
-    an exceptional point.  Grid points are independent (each Lanczos run
-    is deterministically seeded), so callers may parallelize freely.
+    an exceptional point.  Grid points are independent: each seeds its own
+    Lanczos start at ``lam`` (from ``seed`` and its index), and the solve at
+    ``lam + epsilon`` starts from that ground state, never from another
+    grid point's, so callers may parallelize freely.
     With ``on_error="record"`` solver failures (e.g. stalled convergence
     next to an exceptional point) are stored in the record's ``error``
     field instead of aborting the scan.

@@ -63,16 +63,21 @@ def xxz12_gamma_ep():
 
     Dense eigenvalues drive the class probe: Krylov iteration slows down
     arbitrarily close to the EP (the coalescing pair becomes unresolvable),
-    while the dense spectrum stays backward stable.
+    while the dense spectrum stays backward stable.  The probe's ITP weight
+    is the squared gap from the ground eigenvalue to its nearest neighbour:
+    the coalescing pair splits as the square root of the distance to an
+    EP2 on both sides, so the weight vanishes linearly there.
     """
     basis = build_m0_basis(12)
 
-    def broken(g):
+    def probe(g):
         H = build_hamiltonian(XxzParams(jz=1.0, gamma=g, L=12), basis)
         w = np.linalg.eigvals(H.to_dense())
-        return abs(w[ground_state_index(w)].imag) > 1e-8
+        i = ground_state_index(w)
+        gap = np.abs(np.delete(w, i) - w[i]).min()
+        return abs(w[i].imag) > 1e-8, gap**2
 
-    lo, hi = bisect_ep(broken, 0.0, 0.6, tol=1e-9)
+    lo, hi = bisect_ep(probe, 0.0, 0.6, tol=1e-9)
     return 0.5 * (lo + hi)
 
 

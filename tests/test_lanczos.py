@@ -212,3 +212,18 @@ def test_ground_state_matches_oracle_every_sector(L, gamma, pt_class):
     assert abs(abs(g.energy.imag) - abs(ref.imag)) < 1e-10
     assert (abs(ref.imag) > 1e-8) == (pt_class == "broken")
     assert g.pt_class == pt_class
+
+
+def test_cycle_ending_worse_than_its_start_reseeds():
+    # the ground Re of L=8, Jz=0 is sixfold degenerate near gamma=1; from
+    # the gamma=1 ground state the gamma=1.001 cycle runs to the full
+    # dimension and ends on a Ritz residual near 1e98, far above its start
+    # vector's, and restarting from that Ritz vector never converges
+    ga = ground_state(XxzParams(jz=0.0, gamma=1.0, L=8), seed=1)
+    p = XxzParams(jz=0.0, gamma=1.001, L=8)
+    res = complex_symmetric_lanczos(build_hamiltonian(p), 70, v0=ga.right,
+                                    max_iter=600, rng=np.random.default_rng(1))
+    dense = ground_state(p, method="dense")
+    assert abs(res.eigenvalue - dense.energy) <= 1e-8
+    assert dense.pt_class == "broken" and abs(res.eigenvalue.imag) > 1e-8
+    assert res.restarts >= 1

@@ -454,19 +454,27 @@ class TestDenseFileModel:
 
 class TestPeakInput:
     def test_level_crossing_point_does_not_feed_the_fit(self):
-        # at L=10, jz=-1.4 the ground state crosses a level between the
-        # endpoints: F ~ 1e-22 with both endpoints unbroken and no flag set,
-        # so only the |1 - F| guard keeps its 1e5 "peak" out of the fit
-        cfg = SweepConfig(model="xxz", axes=[Axis("jz", -1.5, -1.2, 4)],
-                          fixed={"gamma": 0.0}, sizes=[6, 8, 10], seed=13)
+        # at L=8, jz=-1 the ground state crosses a level of another symmetry
+        # block at gamma = 1.97400 (dense oracle), between the endpoints of
+        # the point at 1.9736: F ~ 1e-23 with both endpoints unbroken and no
+        # flag set, so only the |1 - F| guard keeps its 1e5 "peak" out of the
+        # fit.  L=6 and 10 (broken there) only make the peak table appear.
+        from ptfidelity.xxz import XxzParams, ground_state
+
+        da, db = (ground_state(XxzParams(jz=-1.0, gamma=g, L=8), method="dense")
+                  for g in (1.9736, 1.9746))
+        assert abs((da.left @ db.right) * (db.left @ da.right)) < 1e-12
+        cfg = SweepConfig(model="xxz", axes=[Axis("gamma", 1.9536, 1.9936, 5)],
+                          fixed={"jz": -1.0}, sizes=[6, 8, 10], seed=13)
         result = run_sweep(cfg)
         crossing = next(p for p in result.points
-                        if p.L == 10 and abs(p.axis_values["jz"] + 1.4) < 1e-12)
+                        if p.L == 8 and abs(p.axis_values["gamma"] - 1.9736) < 1e-12)
         assert abs(crossing.F) < 1e-12 and crossing.ep_flag == ""
+        assert crossing.pt_class_a == crossing.pt_class_b == "unbroken"
+        assert crossing.re_chi_density > 1e4
         peaks = {row["L"]: row for row in result.peak_table}
-        assert abs(peaks[10]["position"] - (-1.3)) < 1e-9
-        assert peaks[10]["height"] < 1.0
-        assert abs(result.extrapolation["intercept"] - (-0.694)) < 1e-3
+        assert abs(peaks[8]["position"] - 1.9536) < 1e-9
+        assert peaks[8]["height"] < 1.0
 
 
 class TestXxzSizeValidation:

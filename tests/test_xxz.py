@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from ptfidelity import (
     BasisCapExceededError,
+    DefectiveMatrixError,
     DimTooLargeError,
     InsufficientSizesError,
     NoConvergenceError,
@@ -19,8 +21,10 @@ from ptfidelity import (
 )
 from ptfidelity.fidelity import FidelityRecord
 from ptfidelity.ssh import SshParams, band_discriminant
+from ptfidelity.sweep import Axis, SweepConfig, run_sweep, write_csv
 from ptfidelity.xxz import (
     XxzParams,
+    _ground_state_pair,
     build_hamiltonian,
     build_m0_basis,
     fidelity_scan,
@@ -288,6 +292,78 @@ class TestFidelityScan:
         chi_g = chi_perturbative(es, V, g)
         chi_p = chi_perturbative(es, V, partner)
         assert abs(chi_p - np.conj(chi_g)) < 1e-9 * max(1, abs(chi_g))
+
+
+class TestWarmStartedPair:
+    """The solve at ``lam + epsilon`` starts from the ground state at ``lam``."""
+
+    def test_solver_counters(self):
+        pa, pb = XxzParams(jz=1.0, gamma=0.2, L=10), XxzParams(jz=1.0, gamma=0.201, L=10)
+        ga, gb, _ = _ground_state_pair(pa, pb, 0, 1, "metricized")
+        H, calls = build_hamiltonian(pb), [0]
+
+        def counting(v):
+            calls[0] += 1
+            return H.apply(v)
+
+        warm = ground_state(pb, matrix=counting, v0=ga.right, seed=1)
+        assert warm.matvecs == gb.matvecs == calls[0]
+        cold = ground_state(pb, seed=1)
+        assert 0 < gb.iterations < gb.matvecs < cold.matvecs
+        assert cold.iterations < cold.matvecs
+        dense = ground_state(pb, method="dense")
+        assert (dense.iterations, dense.restarts, dense.matvecs) == (0, 0, 0)
+
+    # the grid holds L=8, Jz=0, gamma=1.0, the start of the reproducer in
+    # test_lanczos.py::test_cycle_ending_worse_than_its_start_reseeds
+    @pytest.mark.parametrize("jz", [-2.0, -1.0, 0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("L", [8, 10])
+    def test_shifted_endpoint_matches_dense(self, L, jz):
+        grid = np.round(np.arange(41) * 0.05, 10)          # [0, 2]
+        recs = fidelity_scan(XxzParams(jz=jz, gamma=0.0, L=L), "gamma", grid,
+                             epsilon=1e-3, on_error="record")
+        checked = 0
+        for r in recs:
+            pa, pb = (XxzParams(jz=jz, gamma=x, L=L) for x in (r.lam, r.lam + r.epsilon))
+            try:
+                dense = ground_state(pb, method="dense")
+                if r.error:     # only an endpoint at an exceptional point may fail
+                    ground_state(pa, method="dense")
+            except (NoConvergenceError, DefectiveMatrixError):
+                continue
+            assert not r.error, (r.lam, r.error)
+            assert abs(r.energy_b.real - dense.energy.real) <= 1e-8, r.lam
+            assert r.pt_class_b == dense.pt_class, r.lam
+            checked += 1
+        assert checked >= len(grid) - 2
+
+    # level crossings between symmetry blocks of the sector, located with
+    # the dense oracle; a start vector inside one block never leaves it
+    @pytest.mark.parametrize("L,jz,gamma_c", [(8, -1.0, 1.9740044539),
+                                              (10, -2.0, 0.7888430440)])
+    def test_shifted_endpoint_past_a_level_crossing(self, L, jz, gamma_c):
+        pa = XxzParams(jz=jz, gamma=gamma_c - 4e-4, L=L)
+        pb = XxzParams(jz=jz, gamma=gamma_c + 6e-4, L=L)
+        da, db = (ground_state(p, method="dense") for p in (pa, pb))
+        assert abs((da.left @ db.right) * (db.left @ da.right)) < 1e-12
+        for seed in range(3):
+            _, gb, F = _ground_state_pair(pa, pb, 2 * seed, 2 * seed + 1, "metricized")
+            assert abs(gb.energy - db.energy) <= 1e-8
+            assert abs(F) < 1e-12
+
+    def test_sweep_across_the_ep_is_thread_invariant(self):
+        # the L=10, Jz=1 exceptional point sits at gamma = 0.1580
+        cfgs = [SweepConfig(model="xxz", axes=[Axis("gamma", 0.12, 0.2, 9)],
+                            fixed={"jz": 1.0}, sizes=[10], seed=5, threads=n)
+                for n in (1, 2)]
+        texts = []
+        for cfg in cfgs:
+            result = run_sweep(cfg)
+            assert {p.pt_class_a for p in result.points} == {"unbroken", "broken"}
+            buf = io.StringIO()
+            write_csv(result, buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
 
 
 class TestPeakExtrapolation:

@@ -379,6 +379,14 @@ class SparseComplexSymmetricMatrix:
             raise ValueError("matrix is not complex symmetric (M != M^T)")
         self.dim = m.shape[0]
 
+    @classmethod
+    def _prechecked(cls, matrix) -> SparseComplexSymmetricMatrix:
+        """Wrap ``matrix`` without the symmetry check, for a caller that has
+        already verified ``matrix == matrix.T``."""
+        out = cls.__new__(cls)
+        out.matrix, out.dim = matrix, matrix.shape[0]
+        return out
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
 

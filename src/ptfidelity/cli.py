@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import cache
 
 import numpy as np
 
@@ -56,10 +55,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="metricized", help="fidelity definition")
 
 
-def _add_solver(parser: argparse.ArgumentParser) -> None:
+def _add_solver(parser: argparse.ArgumentParser, seed_help: str) -> None:
     """Options of the XXZ ground-state solves."""
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base Lanczos seed")
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
     parser.add_argument("--tol-real", type=float, default=None,
                         help="imaginary-part threshold for PT classification")
 
@@ -227,7 +225,7 @@ def cmd_ep_locate(args) -> int:
         # weighs 1, so the locator bisects
         def point(v1):
             n = n_broken(v1)
-            return v1, None, str(n), n != n_lo, 1.0
+            return v1, None, str(n), n != n_lo, 1.0, 0
 
         def fid_fn(sa, sb):
             return many_body_fidelity(replace(base, v1=sa.left), sa.left, sb.left).value
@@ -237,25 +235,38 @@ def cmd_ep_locate(args) -> int:
         for x in (lo, hi):      # every probe lies between the bracket ends
             _params(XxzParams, **{**values, args.direction: x})
 
-        # |r^T r|**2 of the unit right vector is linear in the distance to
-        # a second-order EP on both sides: the locator's weight
+        # each solve after the first starts from the right vector of the
+        # nearest point already solved (the earliest on a tie), so --seed
+        # seeds the cold first start and the random part that ground_state
+        # adds to every warm one.  The weight |r^T r|**2 of the unit right
+        # vector is linear in the distance to a second-order EP on both sides
         def point(x):
+            near = min(solved, key=lambda y: abs(y - x), default=None)
             g = ground_state(_with(base, args.direction, x), seed=args.seed,
+                             v0=None if near is None else solved[near][1],
                              tol_real=args.tol_real)
-            return g.left, g.right, g.pt_class, g.is_broken, g.condition**2
+            return g.left, g.right, g.pt_class, g.is_broken, g.condition**2, g.matvecs
 
         fid_fn = None
 
-    point = cache(point)    # the one-half test reuses the bracket-end states
+    # one solve per point, in solve order and for this run only: the
+    # one-half test reuses the bracket-end states, and XXZ warm starts read
+    # them, so a run depends on nothing but its arguments
+    solved = {}
     probes = []
 
+    def state(x):
+        if x not in solved:
+            solved[x] = point(x)
+        return solved[x]
+
     def probe(x):
-        _, _, pt_class, broken, weight = point(x)
+        _, _, pt_class, broken, weight, _ = state(x)
         probes.append([x, pt_class, weight])
         return broken, weight
 
     def state_fn(x):
-        return point(x)[:3]
+        return state(x)[:3]
 
     blo, bhi = _params(bisect_ep, probe, lo, hi, tol=args.tol)
     result = one_half_ep_test(state_fn, blo, bhi, epsilon_schedule=schedule,
@@ -280,7 +291,8 @@ def cmd_ep_locate(args) -> int:
         "re_f_trace": [[eps, F.real, F.imag] for eps, F in result.re_f_trace],
         "crossing_momenta": crossing,
         "probes": probes,
-        "solves": point.cache_info().currsize,
+        "solves": len(solved),
+        "matvecs": sum(st[5] for st in solved.values()),
     }
     _write_json(args.out, report)
     return 0
@@ -305,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         scan = command(f"{model}-scan", cmd_scan, help_text, model=model)
         _add_common(scan)
         if model == "xxz":      # SSH states and classes are closed form
-            _add_solver(scan)
+            _add_solver(scan, "base Lanczos seed")
         scan.add_argument("--config", default=None, help="sweep config file")
         for name in _AXIS_NAMES[model]:
             scan.add_argument(f"--{name}", nargs="+", default=None)
@@ -341,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep = command("ep-locate", cmd_ep_locate,
                  "locate a PT transition (ITP bracket search) and run the "
                  "one-half test")
-    _add_solver(ep)
+    _add_solver(ep, "Lanczos seed of the first, cold XXZ solve and of the "
+                    "random part of every warm start after it")
     ep.add_argument("--model", choices=("ssh", "xxz"), required=True)
     ep.add_argument("--bracket", type=float, nargs=2, required=True)
     ep.add_argument("--direction", choices=("gamma", "jz"), default="gamma",

@@ -70,12 +70,16 @@ def bloch_dv1(k: float) -> np.ndarray:
 
 
 def band_discriminant(k, p: SshParams):
-    """``Delta_k``; positive on the real-energy branch, negative where the
-    single-particle pair turns imaginary."""
-    return (p.v1**2 + p.v2**2 + p.w**2
-            + 2 * p.w * (p.v1 + p.v2) * np.cos(k)
-            + 2 * p.v1 * p.v2 * np.cos(2 * k)
-            - p.u**2)
+    """``Delta_k = |eta_k|^2 - u^2``; positive on the real-energy branch,
+    negative where the single-particle pair turns imaginary.
+
+    ``|eta_k|^2`` is a sum of two squares, so the only cancellation left is
+    the one against ``u^2`` that sets ``Delta_k`` itself; the expanded
+    polynomial in ``cos k`` loses about ``1 / |Delta_k|`` ulps near an EP.
+    """
+    re_eta = p.w + (p.v1 + p.v2) * np.cos(k)
+    im_eta = (p.v1 - p.v2) * np.sin(k)
+    return re_eta**2 + im_eta**2 - p.u**2
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
@@ -472,10 +473,14 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         except (PtfidelityError, ValueError):
             extrapolation = None
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     provenance = {
         "toolkit_version": _version,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
         "seed": cfg.seed,
         "epsilon": cfg.epsilon,
         "definition": cfg.definition,

@@ -121,7 +121,10 @@ class _SectorPattern:
 
     ``data`` holds the exchange amplitude 2 at every hop and 0 in the
     ``diag_slots`` of the CSR pattern; ``ising`` is ``sum_j s_j s_j+1`` and
-    ``staggered`` is ``sum_j (-1)^j s_j`` per configuration.
+    ``staggered`` is ``sum_j (-1)^j s_j`` per configuration.  Construction
+    raises ``ValueError`` unless the hop matrix equals its transpose; no
+    diagonal can break that, so every matrix built on the pattern is
+    complex symmetric.
     """
 
     data: np.ndarray
@@ -131,9 +134,16 @@ class _SectorPattern:
     ising: np.ndarray
     staggered: np.ndarray
 
+    def __post_init__(self):
+        n = len(self.ising)
+        SparseComplexSymmetricMatrix(
+            sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n)))
+
 
 @lru_cache(maxsize=4)
 def _sector_pattern(L: int) -> _SectorPattern:
+    """The read-only ``_SectorPattern`` of ``L`` sites, built and checked
+    for symmetry once per ``L``."""
     S = build_m0_basis(L).states
     n = len(S)
     ising = np.zeros(n)
@@ -168,6 +178,8 @@ def build_hamiltonian(p: XxzParams, basis: M0Basis | None = None,
     The sparsity pattern and both diagonals are built once per ``L`` and
     shared read-only; every call gets its own ``data`` array with
     ``jz * ising + i * gamma * staggered`` written into the diagonal slots.
+    The pattern's symmetry is verified when it is built, so no call repeats
+    the ``SparseComplexSymmetricMatrix`` check.
     ``basis``, when given, must be the M=0 sector of ``p.L``.
     """
     if basis is not None and basis.L != p.L:
@@ -177,7 +189,7 @@ def build_hamiltonian(p: XxzParams, basis: M0Basis | None = None,
     data[pat.diag_slots] = p.jz * pat.ising + 1j * p.gamma * pat.staggered
     n = len(pat.ising)
     H = sparse.csr_matrix((data, pat.indices, pat.indptr), shape=(n, n))
-    return SparseComplexSymmetricMatrix(matrix=H)
+    return SparseComplexSymmetricMatrix._prechecked(H)
 
 
 def staggered_field_direction(basis: M0Basis) -> np.ndarray:

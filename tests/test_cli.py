@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from ptfidelity import ground_state_index
+from ptfidelity import bisect_ep, ground_state_index
 from ptfidelity.cli import main
-from ptfidelity.xxz import XxzParams, build_hamiltonian, build_m0_basis
+from ptfidelity.xxz import XxzParams, build_hamiltonian, build_m0_basis, ground_state
 
 from conftest import greedy_conjugate_closure_defect, midpoint_bisection, ssh_broken_count
 
@@ -177,6 +177,91 @@ class TestSubcommands:
         assert report["bracket"] == list(bracket)
         assert report["probes"] == [[x, str(ssh_broken_count(x)), 1] for x in probed]
         assert report["solves"] == len(probed) + 6
+
+
+# scan direction -> the fixed parameters and the bracket of an XXZ ep-locate run
+XXZ_SCANS = {"gamma": (dict(jz=1.0, gamma=0.0), (0.0, 0.6)),
+             "jz": (dict(jz=0.0, gamma=0.2), (0.0, 2.0))}
+
+
+def ep_locate_xxz(tmp_path, L, direction, *options):
+    fixed, bracket = XXZ_SCANS[direction]
+    out = tmp_path / "ep.json"
+    assert run_cli("ep-locate", "--model", "xxz", "--direction", direction,
+                   "--jz", str(fixed["jz"]), "--gamma", str(fixed["gamma"]),
+                   "--bracket", *map(str, bracket), "-L", str(L), *options,
+                   "--out", str(out)) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.fixture(scope="module")
+def dense_ep_bracket():
+    """Dense-eigvals bracket of the ground-state PT transition to 1e-9, per
+    (L, direction), weighted by the squared ground gap (which vanishes
+    linearly at an EP2) as in criterion 04."""
+    brackets = {}
+
+    def bracket(L, direction):
+        fixed, ends = XXZ_SCANS[direction]
+        basis = build_m0_basis(L)
+
+        def probe(x):
+            p = XxzParams(L=L, **{**fixed, direction: x})
+            w = np.linalg.eigvals(build_hamiltonian(p, basis).to_dense())
+            i = ground_state_index(w)
+            return abs(w[i].imag) > 1e-8, np.abs(np.delete(w, i) - w[i]).min() ** 2
+
+        if (L, direction) not in brackets:
+            brackets[L, direction] = bisect_ep(probe, *ends, tol=1e-9)
+        return brackets[L, direction]
+    return bracket
+
+
+class TestWarmStartedEpLocate:
+    """Each XXZ ep-locate solve after the first starts from the nearest
+    point already solved."""
+
+    @pytest.mark.parametrize("L", [8, 10, 12])
+    @pytest.mark.parametrize("direction", ["gamma", "jz"])
+    def test_bracket_overlaps_dense(self, L, direction, tmp_path, dense_ep_bracket):
+        report = ep_locate_xxz(tmp_path, L, direction, "--tol", "1e-9")
+        lo, hi = report["bracket"]
+        d_lo, d_hi = dense_ep_bracket(L, direction)
+        assert hi - lo <= 1e-9
+        assert lo <= d_hi and d_lo <= hi
+        assert report["n_crossings"] == 1
+        assert report["solves"] == len(report["probes"]) + 6
+
+    @pytest.mark.parametrize("L", [8, 10, 12])
+    @pytest.mark.parametrize("direction", ["gamma", "jz"])
+    def test_probe_classes_do_not_depend_on_the_seed(self, L, direction, tmp_path):
+        sequences = {
+            tuple(c for _, c, _ in ep_locate_xxz(tmp_path, L, direction,
+                                                 "--seed", str(seed))["probes"])
+            for seed in range(4)
+        }
+        assert len(sequences) == 1
+
+    def test_matvecs_sum_the_distinct_solves(self, tmp_path, monkeypatch):
+        solved = []
+
+        def recorded(p, **options):
+            g = ground_state(p, **options)
+            solved.append((p, g.matvecs))
+            return g
+
+        monkeypatch.setattr("ptfidelity.cli.ground_state", recorded)
+        report = ep_locate_xxz(tmp_path, 10, "gamma")
+        assert len(solved) == report["solves"]
+        assert report["matvecs"] == sum(m for _, m in solved)
+        # the same points, each from a cold random start
+        assert report["matvecs"] < sum(ground_state(p).matvecs for p, _ in solved)
+
+    def test_ssh_reports_no_matvecs(self, tmp_path):
+        out = tmp_path / "ep.json"
+        assert run_cli("ep-locate", "--model", "ssh", "--u", "0.2", "--bracket",
+                       "1.08", "1.13", "-L", "101", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["matvecs"] == 0
 
 
 class TestBadInputExitCodes:

@@ -243,6 +243,62 @@ class TestManyBody:
         assert err.value.k == pytest.approx(np.pi)
 
 
+@pytest.fixture
+def mp():
+    """``mpmath`` at 50 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        yield mpmath
+
+
+class TestNearEpPrecision:
+    """A v1 step next to the EP of momenta 49 and 52 (u = 0.2, L = 101),
+    where Delta_k ~ -1.35e-6 is a small difference of O(1) terms.  The
+    references take the same double inputs as the program (w = 1, v2 = 0)."""
+
+    V1, U, L = 1.1716133978951926, 0.2, 101
+
+    def mp_delta(self, mp, k, v1):
+        k, v1 = mp.mpf(float(k)), mp.mpf(v1)
+        return (1 + v1 * mp.cos(k)) ** 2 + (v1 * mp.sin(k)) ** 2 - mp.mpf(self.U) ** 2
+
+    def mp_fidelity(self, mp, v1_a, v1_b):
+        """Lower-band metricized fidelity: ``f_k`` is
+        ``(L_a R_b)(L_b R_a) / ((L_a R_a)(L_b R_b))`` with the right vector
+        ``(eta, E - iu)`` and the left covector ``(conj eta, E - iu)``."""
+        def dot(x, y):
+            return x[0] * y[0] + x[1] * y[1]
+
+        F = mp.mpf(1)
+        for k in SshParams(v1=v1_a, u=self.U, L=self.L).momenta():
+            states = []
+            for v1 in (v1_a, v1_b):
+                d = self.mp_delta(mp, k, v1)
+                E = -mp.sqrt(d) if d > 0 else -1j * mp.sqrt(-d)
+                eta = -1 - mp.mpf(v1) * mp.exp(-1j * mp.mpf(float(k)))
+                lower = E - 1j * mp.mpf(self.U)
+                states.append(((eta, lower), (mp.conj(eta), lower)))
+            (ra, la), (rb, lb) = states
+            F *= dot(la, rb) * dot(lb, ra) / (dot(la, ra) * dot(lb, rb))
+        return complex(F)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-3])
+    def test_discriminant_relative_error(self, mp, shift):
+        p = SshParams(v1=self.V1 + shift, u=self.U, L=self.L)
+        ks = p.momenta()
+        delta = band_discriminant(ks, p)
+        assert np.min(np.abs(delta)) < 1e-3      # momenta 49 and 52 sit next to their EP
+        for k, d in zip(ks, delta):
+            ref = self.mp_delta(mp, k, p.v1)
+            assert abs((mp.mpf(float(d)) - ref) / ref) < 1e-10
+
+    def test_fidelity_against_fifty_digits(self, mp):
+        p = SshParams(v1=self.V1, u=self.U, L=self.L)
+        F = many_body_fidelity(p, self.V1, self.V1 + 1e-3).value
+        assert abs(F.real - 20.9634970765) < 1e-6      # far from 1: next to the EP
+        assert abs(F - self.mp_fidelity(mp, self.V1, self.V1 + 1e-3)) <= 1.5e-9
+
+
 class TestEPGeometry:
     def test_v2_zero_closed_form(self):
         geo = ep_momenta(SshParams(v1=1.0, v2=0.0, u=0.2, L=101))

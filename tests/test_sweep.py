@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 
 import numpy as np
 import pytest
@@ -312,6 +313,16 @@ class TestEmit:
         back = read_json(buf)
         assert back.provenance["numpy_version"] == np.__version__
         assert back.provenance["scipy_version"] == scipy.__version__
+
+    def test_json_round_trip_keeps_blas_and_cpu_count(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        result = run_sweep(tiny_xxz_config())
+        buf = io.StringIO()
+        write_json(result, buf)
+        buf.seek(0)
+        back = read_json(buf).provenance
+        assert (back["blas_name"], back["blas_version"]) == (blas["name"], blas["version"])
+        assert back["cpu_count"] == os.cpu_count()
 
     def test_csv_quotes_commas_and_quotes(self, tmp_path, rng):
         from conftest import random_pt_matrix

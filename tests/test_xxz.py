@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from ptfidelity import (
     BasisCapExceededError,
@@ -14,6 +15,7 @@ from ptfidelity import (
     InsufficientSizesError,
     NoConvergenceError,
     OddLError,
+    SparseComplexSymmetricMatrix,
     biorthogonal_eig,
     bisect_ep,
     ground_state_index,
@@ -25,6 +27,7 @@ from ptfidelity.sweep import Axis, SweepConfig, run_sweep, write_csv
 from ptfidelity.xxz import (
     XxzParams,
     _ground_state_pair,
+    _sector_pattern,
     build_hamiltonian,
     build_m0_basis,
     fidelity_scan,
@@ -162,6 +165,30 @@ class TestHamiltonian:
         H2 = build_hamiltonian(XxzParams(jz=0.3, gamma=0.2 + dJ, L=6)).to_dense()
         assert np.abs((H2 - H0) / dJ
                       - np.diag(staggered_field_direction(basis))).max() < 1e-6
+
+
+class TestSectorSymmetry:
+    """The sector pattern is checked for symmetry once per L, when it is
+    built; ``build_hamiltonian`` skips the per-matrix check."""
+
+    @pytest.mark.parametrize("L", [4, 6, 8, 10, 12])       # XxzParams needs even L >= 4
+    def test_every_assembled_matrix_equals_its_transpose(self, L):
+        for jz, gamma in [(1.0, 0.0), (-0.7, 0.35), (2.0, 1.3)]:
+            H = build_hamiltonian(XxzParams(jz=jz, gamma=gamma, L=L)).matrix
+            assert (H != H.T).nnz == 0
+
+    def test_corrupted_pattern_copy_fails_the_check(self):
+        pattern = _sector_pattern(8)
+        data = pattern.data.copy()
+        hop = np.setdiff1d(np.arange(len(data)), pattern.diag_slots)[0]
+        data[hop] = 3.0
+        with pytest.raises(ValueError, match="not complex symmetric"):
+            replace(pattern, data=data)
+
+    def test_direct_construction_still_checks(self):
+        M = sparse.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="not complex symmetric"):
+            SparseComplexSymmetricMatrix(matrix=M)
 
 
 class TestGroundState:

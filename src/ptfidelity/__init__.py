@@ -22,7 +22,6 @@ from .errors import (
     AmbiguousPairingError,
     AtExceptionalMomentumError,
     BasisCapExceededError,
-    BrokenBranchZeroUError,
     ConfigError,
     DefectiveMatrixError,
     DegenerateDenominatorError,

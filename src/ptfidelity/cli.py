@@ -19,12 +19,11 @@ from .errors import ConfigError, OddLError, PtfidelityError
 from .fidelity import FIDELITY_TAGS, bisect_ep, one_half_ep_test
 from .ssh import (
     SshParams,
-    band_discriminant,
+    _Bands,
+    _many_body,
     band_point,
     chi_k_metricized,
     complex_berry_phase,
-    lower_band_fidelities,
-    many_body_fidelity,
     open_boundary_spectrum,
 )
 from .sweep import (
@@ -32,15 +31,12 @@ from .sweep import (
     Axis,
     SweepConfig,
     _convert,
+    _fmt,
     emit,
     parse_config,
     run_sweep,
 )
 from .xxz import XxzParams, _with, full_sector_spectrum, ground_state
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -137,10 +133,7 @@ def cmd_ssh_bands(args) -> int:
     rows = []
     for m, k in enumerate(p.momenta()):
         bp = band_point(k, p)
-        try:
-            chi = _fmt(chi_k_metricized(k, p))
-        except PtfidelityError:
-            chi = "nan"
+        chi = "nan" if bp.branch == "ep" else _fmt(chi_k_metricized(k, p))
         rows.append([str(m), _fmt(k), _fmt(bp.delta),
                      _fmt(bp.energy_plus.real), _fmt(bp.energy_plus.imag),
                      _fmt(bp.energy_minus.real), _fmt(bp.energy_minus.imag),
@@ -214,21 +207,18 @@ def cmd_ep_locate(args) -> int:
 
         # a finite-size SSH exceptional point is a parameter value where a
         # grid momentum crosses its EP, i.e. the count of imaginary-energy
-        # momenta jumps (the unbroken->broken transition is count 0 -> 2)
-        def n_broken(v1):
-            p = replace(base, v1=v1)
-            return int(np.sum(band_discriminant(p.momenta(), p) < 0))
-
-        n_lo = n_broken(lo)
-
-        # the class of a point is its count of broken momenta; every probe
-        # weighs 1, so the locator bisects
+        # momenta jumps (the unbroken->broken transition is count 0 -> 2).
+        # A point's state is its stacked evaluation and its class that count;
+        # every probe weighs 1, so the locator bisects
         def point(v1):
-            n = n_broken(v1)
-            return v1, None, str(n), n != n_lo, 1.0, 0
+            bands = _Bands(replace(base, v1=v1))
+            n = int(np.sum(bands.delta < 0))
+            return bands, None, str(n), n != n_lo, 1.0, 0
+
+        n_lo = int(np.sum(_Bands(base).delta < 0))
 
         def fid_fn(sa, sb):
-            return many_body_fidelity(replace(base, v1=sa.left), sa.left, sb.left).value
+            return _many_body(sa.left, sb.left).value
     else:
         values = {"jz": args.jz, "gamma": args.gamma, "L": args.L}
         base = _params(XxzParams, **values)
@@ -273,12 +263,11 @@ def cmd_ep_locate(args) -> int:
                               a=args.a, b=args.b, fidelity_fn=fid_fn)
     crossing = []
     if args.model == "ssh":     # per-momentum one-half report at the crossing momenta
-        pa = replace(base, v1=blo - schedule[-1])
-        pb = replace(base, v1=bhi + schedule[-1])
-        ks = pa.momenta()
-        crosses = (band_discriminant(ks, pa) > 0) != (band_discriminant(ks, pb) > 0)
-        f_k = lower_band_fidelities(pa, pb)
-        crossing = [{"m": int(m), "k": float(ks[m]),
+        ba, bb = (_Bands(replace(base, v1=v))
+                  for v in (blo - schedule[-1], bhi + schedule[-1]))
+        crosses = (ba.delta > 0) != (bb.delta > 0)
+        f_k = _many_body(ba, bb).per_k
+        crossing = [{"m": int(m), "k": float(ba.ks[m]),
                      "re_f_k": f_k[m].real, "im_f_k": f_k[m].imag}
                     for m in np.flatnonzero(crosses)]
 

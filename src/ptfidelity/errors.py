@@ -63,10 +63,6 @@ class AtExceptionalMomentumError(PtfidelityError):
         self.k = k
 
 
-class BrokenBranchZeroUError(PtfidelityError):
-    """The broken-branch closed form requires a nonzero non-Hermitian strength."""
-
-
 class GridCrossesEPError(PtfidelityError):
     """A Berry-phase integration grid point landed on an exceptional point."""
 

@@ -13,6 +13,7 @@ evaluated stacked over the whole momentum grid; ``band_point``,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ellipk, elliprf, elliprj
@@ -20,7 +21,6 @@ from scipy.special import ellipk, elliprf, elliprj
 from .biortho import DENSE_DIM_CAP
 from .errors import (
     AtExceptionalMomentumError,
-    BrokenBranchZeroUError,
     DimTooLargeError,
     GridCrossesEPError,
 )
@@ -60,7 +60,7 @@ class SshParams:
 def bloch_matrix(k: float, p: SshParams) -> np.ndarray:
     """Traceless 2x2 Bloch block; commutes with sigma_x composed with
     complex conjugation (the per-momentum PT operation)."""
-    eta = -p.w - p.v1 * np.exp(-1j * k) - p.v2 * np.exp(1j * k)
+    eta = _Bands(p, k).eta[0]
     return np.array([[1j * p.u, eta], [np.conj(eta), -1j * p.u]])
 
 
@@ -82,6 +82,80 @@ def band_discriminant(k, p: SshParams):
     return re_eta**2 + im_eta**2 - p.u**2
 
 
+def chi_k_numerator(k, p: SshParams):
+    """Numerator of the per-momentum susceptibility along the v1 direction."""
+    return (np.sin(k) ** 2 - p.u**2
+            + p.v2 * (np.cos(k) - np.cos(3 * k))
+            + p.v2**2 * np.sin(2 * k) ** 2)
+
+
+class _Bands:
+    """One stacked evaluation of a parameter set over momenta ``ks`` (its
+    grid by default, one momentum for the scalar views); every per-momentum
+    quantity of the module is read from here.  ``Delta_k`` and the
+    exceptional-momentum mask are computed once, ``eta_k`` on first use."""
+
+    def __init__(self, p: SshParams, ks=None):
+        self.p = p
+        self.ks = p.momenta() if ks is None else np.atleast_1d(ks)
+        self.delta = band_discriminant(self.ks, p)
+        self.at_ep = np.abs(self.delta) < p.tol_delta
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """Off-diagonal Bloch entry ``eta_k``."""
+        p = self.p
+        return -p.w - p.v1 * np.exp(-1j * self.ks) - p.v2 * np.exp(1j * self.ks)
+
+    def pt_class(self) -> str:
+        return "broken" if bool(np.any(self.delta < 0)) else "unbroken"
+
+    def energies(self):
+        """``E_+/- = +/- sqrt(Delta_k + 0j)``, and 0 at exceptional momenta;
+        ``0 - root`` rather than ``-root`` keeps zero parts at +0.0."""
+        root = np.where(self.at_ep, 0j, np.sqrt(self.delta + 0j))
+        return root, 0 - root
+
+    def chi(self) -> np.ndarray:
+        """Closed-form per-momentum susceptibilities for a v1 scan."""
+        return chi_k_numerator(self.ks, self.p) / (4 * self.delta**2)
+
+    def states(self, sigma: int):
+        """Analytic left covectors (n, 2) and right vectors (n, 2) of band
+        ``sigma``, assuming no momentum is exceptional: ``conj((a, g))`` and
+        ``(conj(a), g)`` times their norms, with ``g = -conj(eta_k)`` and
+        ``a = iu - E`` (real branch) or ``i (u + sigma |E|)`` (imaginary)."""
+        delta, u = self.delta, self.p.u
+        g = -np.conj(self.eta)
+        pos = delta > 0
+        neg = ~pos
+        root = np.sqrt(np.abs(delta))       # |E|
+        s = u + sigma * root
+        a = np.where(pos, 1j * u - sigma * root, 1j * s)
+        norm_l = np.empty(len(delta), dtype=complex)
+        norm_r = np.empty(len(delta), dtype=complex)
+        norm_l[pos] = 1.0 / np.sqrt(2 * delta[pos])
+        norm_r[pos] = 1.0 / (np.sqrt(2) * (sigma * 1j * u + root[pos]))
+        norm_l[neg] = -sigma * np.sqrt(u / (-2 * delta[neg] * s[neg]))
+        norm_r[neg] = 1.0 / np.sqrt(2 * u * s[neg])
+        left = np.conj(np.column_stack([a * norm_l, g * norm_l]))
+        right = np.column_stack([np.conj(a) * norm_r, g * norm_r])
+        return left, right
+
+
+def _check_regular(*bands: _Bands) -> None:
+    """The one exceptional-momentum check: raises at the first momentum
+    that is exceptional for any of ``bands``, which share their momenta."""
+    bad = np.any([b.at_ep for b in bands], axis=0)
+    if np.any(bad):
+        m = int(np.argmax(bad))
+        k = float(bands[0].ks[m])
+        if len(bad) == 1:
+            raise AtExceptionalMomentumError(f"momentum k={k:.6f} is exceptional", k=k)
+        raise AtExceptionalMomentumError(
+            f"grid momentum m={m} (k={k:.6f}) is exceptional", momentum_index=m, k=k)
+
+
 @dataclass(frozen=True)
 class BandPoint:
     k: float
@@ -94,20 +168,11 @@ class BandPoint:
 
 def band_point(k: float, p: SshParams) -> BandPoint:
     """Single-particle energies and branch tag at one momentum."""
-    delta = float(band_discriminant(k, p))
-    eta = complex(-p.w - p.v1 * np.exp(-1j * k) - p.v2 * np.exp(1j * k))
-    if abs(delta) < p.tol_delta:
-        branch = "ep"
-        e_plus = e_minus = 0j
-    elif delta > 0:
-        branch = "real"
-        root = np.sqrt(delta)
-        e_plus, e_minus = complex(root), complex(-root)
-    else:
-        branch = "broken"
-        root = np.sqrt(-delta)          # principal branch, > 0
-        e_plus, e_minus = 1j * root, -1j * root
-    return BandPoint(k=float(k), eta=eta, delta=delta,
+    b = _Bands(p, k)
+    delta = float(b.delta[0])
+    e_plus, e_minus = (complex(e[0]) for e in b.energies())
+    branch = "ep" if b.at_ep[0] else "real" if delta > 0 else "broken"
+    return BandPoint(k=float(k), eta=complex(b.eta[0]), delta=delta,
                      energy_plus=e_plus, energy_minus=e_minus, branch=branch)
 
 
@@ -134,45 +199,6 @@ class BlochStates:
         return self.energy_plus if sigma > 0 else self.energy_minus
 
 
-def _states_arrays(ks: np.ndarray, p: SshParams, sigma: int):
-    """Vectorized analytic eigenstates of one band over a momentum array.
-
-    Returns (left covectors (n, 2), right vectors (n, 2), energies (n,)).
-    Assumes no entry of ``ks`` sits at an exceptional momentum.
-    """
-    delta = band_discriminant(ks, p)
-    g = p.w + p.v1 * np.exp(1j * ks) + p.v2 * np.exp(-1j * ks)
-    u = p.u
-    left = np.empty((len(ks), 2), dtype=complex)
-    right = np.empty((len(ks), 2), dtype=complex)
-    energy = np.empty(len(ks), dtype=complex)
-
-    pos = delta > 0
-    if np.any(pos):
-        root = np.sqrt(delta[pos])
-        norm_l = 1.0 / np.sqrt(2 * delta[pos])
-        left[pos, 0] = np.conj((1j * u - sigma * root) * norm_l)
-        left[pos, 1] = np.conj(g[pos] * norm_l)
-        norm_r = 1.0 / (np.sqrt(2) * (sigma * 1j * u + root))
-        right[pos, 0] = (-1j * u - sigma * root) * norm_r
-        right[pos, 1] = g[pos] * norm_r
-        energy[pos] = sigma * root
-
-    neg = ~pos
-    if np.any(neg):
-        root = np.sqrt(-delta[neg])     # principal branch, > 0
-        norm_l = -sigma * np.sqrt(
-            (u / (-2 * delta[neg] * (u + sigma * root))).astype(complex))
-        left[neg, 0] = np.conj((1j * u + sigma * 1j * root) * norm_l)
-        left[neg, 1] = np.conj(g[neg] * norm_l)
-        norm_r = 1.0 / np.sqrt((2 * u * (u + sigma * root)).astype(complex))
-        right[neg, 0] = (-1j * u - sigma * 1j * root) * norm_r
-        right[neg, 1] = g[neg] * norm_r
-        energy[neg] = sigma * 1j * root
-
-    return left, right, energy
-
-
 def single_particle_states(k: float, p: SshParams) -> BlochStates:
     """Analytic left/right eigenvectors of both bands at momentum ``k``.
 
@@ -180,18 +206,13 @@ def single_particle_states(k: float, p: SshParams) -> BlochStates:
     either branch.  Raises at exceptional momenta, where the two branches
     coalesce and no biorthonormal pair exists.
     """
-    delta = float(band_discriminant(k, p))
-    if abs(delta) < p.tol_delta:
-        raise AtExceptionalMomentumError(
-            f"momentum k={k:.6f} is exceptional (|Delta_k| = {abs(delta):.3e})",
-            k=float(k),
-        )
-    ks = np.array([float(k)])
-    lp, rp, ep = _states_arrays(ks, p, +1)
-    lm, rm, em = _states_arrays(ks, p, -1)
+    b = _Bands(p, k)
+    _check_regular(b)
+    (lp, rp), (lm, rm) = b.states(+1), b.states(-1)
+    ep, em = b.energies()
     return BlochStates(
         k=float(k),
-        branch="real" if delta > 0 else "broken",
+        branch="real" if b.delta[0] > 0 else "broken",
         energy_plus=complex(ep[0]),
         energy_minus=complex(em[0]),
         left_plus=lp[0],
@@ -201,36 +222,27 @@ def single_particle_states(k: float, p: SshParams) -> BlochStates:
     )
 
 
-def chi_k_numerator(k, p: SshParams):
-    """Numerator of the per-momentum susceptibility along the v1 direction."""
-    return (np.sin(k) ** 2 - p.u**2
-            + p.v2 * (np.cos(k) - np.cos(3 * k))
-            + p.v2**2 * np.sin(2 * k) ** 2)
-
-
 def chi_k_metricized(k: float, p: SshParams) -> float:
     """Closed-form per-momentum susceptibility for a v1 scan.
 
     Real on both branches and equal for the two bands; negative wherever
     the single-particle energies are imaginary.
     """
-    delta = float(band_discriminant(k, p))
-    if abs(delta) < p.tol_delta:
-        raise AtExceptionalMomentumError(
-            f"momentum k={k:.6f} is exceptional", k=float(k))
-    return float(chi_k_numerator(k, p) / (4 * delta**2))
+    b = _Bands(p, k)
+    _check_regular(b)
+    return float(b.chi()[0])
 
 
 def chi_k_rr(k: float, p: SshParams) -> float:
     """Closed-form per-momentum right-right susceptibility (v1 scan).
 
-    Separate closed forms on the two branches; the imaginary-energy branch
-    requires nonzero gain-loss strength.
+    Separate closed forms on the two branches.  ``Delta_k`` and the
+    exceptional-momentum check come from the stacked evaluation; the
+    imaginary-energy branch needs ``u^2 > |eta_k|^2``, so ``u > 0`` there.
     """
-    delta = float(band_discriminant(k, p))
-    if abs(delta) < p.tol_delta:
-        raise AtExceptionalMomentumError(
-            f"momentum k={k:.6f} is exceptional", k=float(k))
+    b = _Bands(p, k)
+    _check_regular(b)
+    delta = float(b.delta[0])
     v1, v2, u, w = p.v1, p.v2, p.u, p.w
     if w != 1.0:
         # the closed forms below are written in units of w
@@ -260,9 +272,6 @@ def chi_k_rr(k: float, p: SshParams) -> float:
         )
         denom = 2 * v1 * v2 * c2 + 2 * c1 * (v1 + v2) + v1**2 + v2**2 + 1
         return float(-omega / (8 * delta * denom**2))
-    if u == 0:
-        raise BrokenBranchZeroUError(
-            "imaginary-energy branch requires u > 0")
     upsilon = -(2 * u**2 + v2 * (v2 * c4 - 2 * c1 + 2 * c3) + c2 - v2**2 - 1)
     return float(upsilon / (8 * delta * u**2))
 
@@ -281,31 +290,14 @@ class ChiTotal:
     per_k: np.ndarray
 
 
-def _grid_discriminants(*params: SshParams) -> list[np.ndarray]:
-    """``Delta_k`` on the shared momentum grid of every parameter set;
-    raises at the first grid momentum that is exceptional for any of them."""
-    ks = params[0].momenta()
-    deltas = [band_discriminant(ks, p) for p in params]
-    bad = np.any([np.abs(d) < p.tol_delta for d, p in zip(deltas, params)], axis=0)
-    if np.any(bad):
-        m = int(np.argmax(bad))
-        raise AtExceptionalMomentumError(
-            f"grid momentum m={m} (k={ks[m]:.6f}) is exceptional",
-            momentum_index=m, k=float(ks[m]))
-    return deltas
-
-
-def lower_band_fidelities(pa: SshParams, pb: SshParams,
-                          definition_tag: str = "metricized") -> np.ndarray:
-    """Per-momentum lower-band fidelities ``f_k`` between two parameter
-    sets on the same momentum grid, evaluated stacked over the grid."""
-    if pa.L != pb.L:
-        raise ValueError(f"momentum grids differ (L={pa.L} and L={pb.L})")
-    _grid_discriminants(pa, pb)
-    ks = pa.momenta()
-    left_a, right_a, _ = _states_arrays(ks, pa, -1)
-    left_b, right_b, _ = _states_arrays(ks, pb, -1)
-    return fidelity_variant(definition_tag, left_a, right_a, left_b, right_b)
+def _many_body(ba: _Bands, bb: _Bands,
+               definition_tag: str = "metricized") -> ManyBodyFidelity:
+    """The one many-body product: lower-band fidelities ``f_k`` between two
+    stacked evaluations on the same grid, and their product."""
+    _check_regular(ba, bb)
+    per_k = fidelity_variant(definition_tag, *ba.states(-1), *bb.states(-1))
+    return ManyBodyFidelity(value=complex(np.prod(per_k)), momenta=ba.ks,
+                            per_k=per_k)
 
 
 def many_body_fidelity(p: SshParams, v1_a: float, v1_b: float,
@@ -316,25 +308,22 @@ def many_body_fidelity(p: SshParams, v1_a: float, v1_b: float,
     finite momentum grid, so the fidelity factorizes into per-momentum
     contributions ``f_k``, evaluated stacked over the grid.
     """
-    per_k = lower_band_fidelities(replace(p, v1=v1_a), replace(p, v1=v1_b),
-                                  definition_tag)
-    return ManyBodyFidelity(value=complex(np.prod(per_k)), momenta=p.momenta(),
-                            per_k=per_k)
+    return _many_body(_Bands(replace(p, v1=v1_a)), _Bands(replace(p, v1=v1_b)),
+                      definition_tag)
 
 
 def chi_total(p: SshParams) -> ChiTotal:
     """Sum of the closed-form per-momentum susceptibilities on the grid."""
-    ks = p.momenta()
-    (delta,) = _grid_discriminants(p)
-    per_k = chi_k_numerator(ks, p) / (4 * delta**2)
-    return ChiTotal(value=float(per_k.sum()), momenta=ks, per_k=per_k)
+    b = _Bands(p)
+    _check_regular(b)
+    per_k = b.chi()
+    return ChiTotal(value=float(per_k.sum()), momenta=b.ks, per_k=per_k)
 
 
 def ground_state_pt_class(p: SshParams) -> str:
     """PT class of the finite-size half-filled ground state: broken as
     soon as any grid momentum carries imaginary single-particle energy."""
-    delta = band_discriminant(p.momenta(), p)
-    return "broken" if bool(np.any(delta < 0)) else "unbroken"
+    return _Bands(p).pt_class()
 
 
 @dataclass
@@ -423,11 +412,11 @@ def positive_divergence_curve(v2: float = 0.0, w: float = 1.0) -> np.ndarray:
     ``v1 = -w cos k``), a curve through the Hermitian critical point.
     """
     rows = []
+    numerator = SshParams(v1=0.0, v2=v2)     # chi_k_numerator reads only u and v2
     for k in np.linspace(0.0, 2 * np.pi, 721):
         c, c2 = np.cos(k), np.cos(2 * k)
         # u^2 from the numerator condition
-        a_num = (np.sin(k) ** 2 + v2 * (np.cos(k) - np.cos(3 * k))
-                 + v2**2 * np.sin(2 * k) ** 2)
+        a_num = chi_k_numerator(k, numerator)
         # Delta_k + u^2 = quadratic in v1
         # v1^2 + 2 v1 (w c + v2 c2) + (v2^2 + w^2 + 2 w v2 c - a_num) = 0
         b_lin = w * c + v2 * c2
@@ -540,14 +529,12 @@ class BerryPhase:
 
 
 def _berry_loop(p: SshParams, band: int, n_k: int) -> complex:
-    ks = 2 * np.pi * np.arange(n_k) / n_k
-    delta = band_discriminant(ks, p)
-    if np.any(np.abs(delta) < p.tol_delta):
-        bad = int(np.argmin(np.abs(delta)))
-        raise GridCrossesEPError(
-            f"Berry grid point k={ks[bad]:.6f} sits on an exceptional point"
-        )
-    left, right, _ = _states_arrays(ks, p, band)
+    b = _Bands(p, 2 * np.pi * np.arange(n_k) / n_k)
+    try:
+        _check_regular(b)
+    except AtExceptionalMomentumError as err:
+        raise GridCrossesEPError(f"Berry {err}") from None
+    left, right = b.states(band)
     overlaps = np.einsum("ij,ij->i", left, np.roll(right, -1, axis=0))
     return complex(1j * np.sum(np.log(overlaps)))
 

@@ -33,7 +33,7 @@ from .fidelity import (
     chi_finite_difference,
     fidelity_variant,
 )
-from .ssh import SshParams, chi_total, ground_state_pt_class, lower_band_fidelities
+from .ssh import SshParams, _Bands, _many_body, chi_total
 from .xxz import (
     LANCZOS_BASIS_CAP,
     XxzParams,
@@ -306,11 +306,11 @@ class _SshEvaluator(_Evaluator):
                          L=self.L)
 
     def _pair(self, point: PointResult, shifted: dict[str, float]):
-        pa, pb = self._params(point.axis_values), self._params(shifted)
+        ba = _Bands(self._params(point.axis_values))
+        bb = _Bands(self._params(shifted))
         # classes first: an exceptional grid momentum fails only the fidelity
-        point.pt_class_a = ground_state_pt_class(pa)
-        point.pt_class_b = ground_state_pt_class(pb)
-        return np.prod(lower_band_fidelities(pa, pb, self.cfg.definition))
+        point.pt_class_a, point.pt_class_b = ba.pt_class(), bb.pt_class()
+        return _many_body(ba, bb, self.cfg.definition).value
 
     def _chi(self, point: PointResult) -> complex:
         if self.cfg.definition == "metricized" and self.cfg.axes[-1].name == "v1":

@@ -234,6 +234,11 @@ def _norm_estimate(p: XxzParams) -> float:
     return 2.0 * p.L + abs(p.jz) * p.L + p.gamma * p.L
 
 
+def _check_dense_cap(dim: int) -> None:
+    if dim > DENSE_SECTOR_CAP:   # checked before densifying: L=16 would take 2.6 GB
+        raise DimTooLargeError(f"sector dim {dim} exceeds dense cap {DENSE_SECTOR_CAP}")
+
+
 def _covector(right: np.ndarray) -> tuple[np.ndarray, float]:
     q = np.dot(right, right)
     return right / q, float(abs(q))
@@ -294,10 +299,7 @@ def ground_state(
         counts = dict(iterations=res.iterations, restarts=res.restarts,
                       matvecs=res.matvecs)
     elif method == "dense":
-        if dim > DENSE_SECTOR_CAP:
-            raise DimTooLargeError(
-                f"sector dim {dim} exceeds dense cap {DENSE_SECTOR_CAP}"
-            )
+        _check_dense_cap(dim)
         w, g, right, _, residual = dense_ground_pair(matrix.to_dense())
         energy = complex(w[g])
     else:
@@ -491,7 +493,5 @@ def records_to_peak_input(records, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 def full_sector_spectrum(p: XxzParams) -> np.ndarray:
     """All sector eigenvalues, sorted by (Re, Im); spectral-portrait data."""
-    dim = comb(p.L, p.L // 2)
-    if dim > DENSE_SECTOR_CAP:   # checked before densifying: L=16 would take 2.6 GB
-        raise DimTooLargeError(f"sector dim {dim} exceeds dense cap {DENSE_SECTOR_CAP}")
+    _check_dense_cap(comb(p.L, p.L // 2))
     return dense_full_spectrum(build_hamiltonian(p).to_dense())

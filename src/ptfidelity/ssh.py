@@ -5,9 +5,10 @@ Per-momentum Bloch matrices ``[[iu, eta], [conj(eta), -iu]]`` with
 both signs of the band discriminant, analytic susceptibilities, EP
 geometry, open-boundary spectra, and the complex Berry phase.  Left
 states are returned as covectors (conjugate of the analytic left kets),
-so every pairing is a plain dot product.  Grid sums and products are
-evaluated stacked over the whole momentum grid; ``band_point``,
-``single_particle_states`` and ``chi_k_*`` are scalar views at one k.
+so every pairing is a plain dot product.  Every per-momentum quantity
+comes from one stacked evaluation (``_Bands``): over the grid for sums and
+products, at one k for the scalar views ``bloch_matrix``, ``band_point``,
+``single_particle_states`` and ``chi_k_*``.
 """
 
 from __future__ import annotations
@@ -128,18 +129,21 @@ class _Bands:
         delta, u = self.delta, self.p.u
         g = -np.conj(self.eta)
         pos = delta > 0
-        neg = ~pos
         root = np.sqrt(np.abs(delta))       # |E|
-        s = u + sigma * root
+        # s = u + sigma |E|; for sigma = -1 the form |eta_k|^2 / (u + |E|)
+        # keeps the digits that u - |E| cancels where |eta_k| << u
+        s = u + root if sigma > 0 else np.abs(g) ** 2 / (u + root)
         a = np.where(pos, 1j * u - sigma * root, 1j * s)
-        norm_l = np.empty(len(delta), dtype=complex)
-        norm_r = np.empty(len(delta), dtype=complex)
-        norm_l[pos] = 1.0 / np.sqrt(2 * delta[pos])
-        norm_r[pos] = 1.0 / (np.sqrt(2) * (sigma * 1j * u + root[pos]))
-        norm_l[neg] = -sigma * np.sqrt(u / (-2 * delta[neg] * s[neg]))
-        norm_r[neg] = 1.0 / np.sqrt(2 * u * s[neg])
-        left = np.conj(np.column_stack([a * norm_l, g * norm_l]))
-        right = np.column_stack([np.conj(a) * norm_r, g * norm_r])
+        with np.errstate(divide="ignore", invalid="ignore"):    # both branches
+            norm_l = np.where(pos, 1.0 / np.sqrt(2 * delta),
+                              -sigma * np.sqrt(u / (-2 * delta * s)))
+            norm_r = np.where(pos, 1.0 / (np.sqrt(2) * (sigma * 1j * u + root)),
+                              1.0 / np.sqrt(2 * u * s))
+            left = np.conj(np.column_stack([a * norm_l, g * norm_l]))
+            right = np.column_stack([np.conj(a) * norm_r, g * norm_r])
+        # s = 0 only where eta_k = 0 and u > 0: the block is diag(iu, -iu),
+        # not an EP, and its -iu eigenvector takes the fixed phase (0, 1)
+        left[s == 0] = right[s == 0] = (0, 1)
         return left, right
 
 

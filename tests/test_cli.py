@@ -337,3 +337,51 @@ class TestBadInputExitCodes:
         assert run_cli("ssh-scan", "--v1", "0.7", "0.9", "3", "--u", "0.1",
                        "-L", "21", option, "5", "--out", str(out)) == 2
         assert not out.exists()
+
+
+class TestSshOnePath:
+    @pytest.mark.parametrize("v2,u,L,a,b,extra", [
+        (0.0, 0.2, 101, 0.5, 0.5, ("--bracket", "0.7", "0.9")),
+        (0.4, 0.3, 51, 0.3, 0.7, ("--bracket", "0.3", "0.9",
+                                  "--epsilon-schedule", "1e-2", "1e-5")),
+    ], ids=["symmetric", "asymmetric"])
+    def test_ep_locate_trace_is_many_body_fidelity(self, v2, u, L, a, b, extra,
+                                                   tmp_path):
+        from ptfidelity.ssh import SshParams, many_body_fidelity
+
+        out = tmp_path / "ep.json"
+        assert run_cli("ep-locate", "--model", "ssh", "--v2", str(v2), "--u", str(u),
+                       "-L", str(L), "--a", str(a), "--b", str(b), *extra,
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        p = SshParams(v1=0.0, v2=v2, u=u, L=L)
+        lo, hi = report["bracket"]
+        center = 0.5 * (lo + hi)
+        assert len(report["re_f_trace"]) >= 2
+        for eps, re_f, im_f in report["re_f_trace"]:
+            F = many_body_fidelity(p, center - a * eps, center + b * eps).value
+            assert (F.real, F.imag) == (re_f, im_f)
+
+    @pytest.mark.parametrize("argv", [
+        ("--v1", "0.99", "1.01", "3", "--u", "0.2", "-L", "100"),   # eta_pi ~ 1e-16
+        ("--v1", "-1.0", "-0.9", "2", "--u", "0.2", "-L", "7"),     # eta_0 = 0
+    ])
+    def test_ssh_scan_finite_where_eta_vanishes(self, argv, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run_cli("ssh-scan", *argv, "--out", str(out)) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        for row in rows:
+            fields = dict(zip(header, row))
+            assert np.isfinite(float(fields["re_F"]))
+            assert np.isfinite(float(fields["im_F"]))
+            assert fields["error"] == ""
+
+    def test_ssh_berry_finite_where_eta_vanishes(self, tmp_path):
+        out = tmp_path / "berry.csv"
+        assert run_cli("ssh-berry", "--v1", "1.0", "--u", "0.1", "--nk", "512",
+                       "--out", str(out)) == 0
+        header, row = [line.split(",") for line in out.read_text().splitlines()]
+        fields = dict(zip(header, row))
+        assert np.isfinite(float(fields["re_gamma"]))
+        assert np.isfinite(float(fields["im_gamma"]))
+        assert fields["error"] == ""

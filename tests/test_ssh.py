@@ -11,6 +11,7 @@ from ptfidelity import (
     biorthogonal_eig,
     chi_perturbative,
     chi_rr_perturbative,
+    metricized_fidelity,
 )
 from ptfidelity.ssh import (
     GOLDEN_V2,
@@ -32,6 +33,7 @@ from ptfidelity.ssh import (
     re_mod_2pi,
     single_particle_states,
 )
+from ptfidelity.ssh import _Bands
 
 
 class TestBlochMatrix:
@@ -454,3 +456,127 @@ class TestBerryPhase:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def _close(a, b, rel=1e-12):
+    """Max-norm agreement of ``a`` and ``b`` relative to the size of ``b``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.abs(a - b).max() <= rel * max(np.abs(b).max(), 1e-300)
+
+
+class TestOneStackedPath:
+    """The scalar views read the same stacked evaluation as the grid sums
+    and the many-body product."""
+
+    POINTS = [
+        (0.85, 0.0, 0.09, 101),        # every momentum on the real branch
+        (1.0, 0.0, 0.2, 100),          # broken around k = pi, where eta ~ 1e-16
+        (1.3, GOLDEN_V2, 0.25, 60),    # both branches on the golden ladder
+        (0.6, 0.8, 0.3, 37),           # both branches
+    ]
+
+    def test_points_cover_both_branches(self):
+        branches = set()
+        for v1, v2, u, L in self.POINTS:
+            p = SshParams(v1=v1, v2=v2, u=u, L=L)
+            delta = band_discriminant(p.momenta(), p)
+            assert np.min(np.abs(delta)) > p.tol_delta
+            branches |= {"real" if d > 0 else "broken" for d in delta}
+        assert branches == {"real", "broken"}
+
+    @pytest.mark.parametrize("v1,v2,u,L", POINTS)
+    def test_scalar_views_match_the_grid(self, v1, v2, u, L):
+        p = SshParams(v1=v1, v2=v2, u=u, L=L)
+        bands = _Bands(p)
+        left, right = bands.states(-1)
+        e_plus, e_minus = bands.energies()
+        chi = chi_total(p).per_k
+        for m, k in enumerate(p.momenta()):
+            bp = band_point(k, p)
+            assert _close(bp.energy_plus, e_plus[m])
+            assert _close(bp.energy_minus, e_minus[m])
+            assert _close(chi_k_metricized(k, p), chi[m])
+            s = single_particle_states(k, p)
+            assert _close(s.energy_minus, e_minus[m])
+            assert _close(s.left_minus, left[m])
+            assert _close(s.right_minus, right[m])
+            assert bloch_matrix(k, p)[0, 1] == bands.eta[m]
+
+    def test_grid_states_are_the_many_body_factors(self):
+        pa = SshParams(v1=1.0, u=0.2, L=100)
+        pb = SshParams(v1=1.001, u=0.2, L=100)
+        mb = many_body_fidelity(pa, pa.v1, pb.v1)
+        for m, k in enumerate(pa.momenta()):
+            sa, sb = single_particle_states(k, pa), single_particle_states(k, pb)
+            f_k = metricized_fidelity(sa.left_minus, sa.right_minus,
+                                      sb.left_minus, sb.right_minus)
+            assert _close(f_k, mb.per_k[m])
+        assert mb.value == complex(np.prod(mb.per_k))
+
+    def test_scalar_views_raise_at_an_exceptional_momentum(self):
+        p = SshParams(v1=1.0, v2=0.0, u=0.2, L=4)
+        k = np.arccos(-0.98)            # Delta_k = 0
+        for view in (single_particle_states, chi_k_metricized, chi_k_rr):
+            with pytest.raises(AtExceptionalMomentumError) as err:
+                view(k, p)
+            assert err.value.k == pytest.approx(k)
+        # band_point tags the momentum instead of raising
+        bp = band_point(k, p)
+        assert bp.branch == "ep"
+        assert bp.energy_plus == bp.energy_minus == 0
+
+
+class TestVanishingEta:
+    """Where eta_k = 0 and u > 0 the Bloch block is diag(iu, -iu): not an
+    EP, so both bands have biorthonormal states although u - |E_k| = 0."""
+
+    CASES = [
+        (np.pi, 1.0, 100),      # v1 + v2 = w at k = pi; eta ~ 1e-16 from sin(pi)
+        (0.0, -1.0, 7),         # w + v1 + v2 = 0 at k = 0; eta is exactly 0
+    ]
+
+    @pytest.mark.parametrize("k,v1,L", CASES)
+    def test_states_are_finite_and_biorthonormal(self, k, v1, L):
+        p = SshParams(v1=v1, u=0.2, L=L)
+        s = single_particle_states(k, p)
+        H = bloch_matrix(k, p)
+        for sigma in (+1, -1):
+            l, r, e = s.left(sigma), s.right(sigma), s.energy(sigma)
+            assert np.all(np.isfinite(l)) and np.all(np.isfinite(r))
+            assert np.abs(H @ r - e * r).max() < 1e-12
+            assert np.abs(l @ H - e * l).max() < 1e-12
+            assert abs(l @ r - 1.0) < 1e-12
+            assert abs(np.vdot(r, r) - 1.0) < 1e-12
+        assert abs(s.left(+1) @ s.right(-1)) < 1e-12
+        assert abs(s.left(-1) @ s.right(+1)) < 1e-12
+
+    def test_exact_zero_takes_the_fixed_phase(self):
+        s = single_particle_states(0.0, SshParams(v1=-1.0, u=0.2, L=7))
+        assert np.array_equal(s.right_minus, [0, 1])
+        assert np.array_equal(s.left_minus, [0, 1])
+        assert s.energy_minus == -0.2j
+
+    @pytest.mark.parametrize("k,v1,L", CASES)
+    def test_fidelity_matches_dense_oracle(self, k, v1, L):
+        pa = SshParams(v1=v1, u=0.2, L=L)
+        pb = SshParams(v1=v1 + 1e-3, u=0.2, L=L)
+        sa, sb = single_particle_states(k, pa), single_particle_states(k, pb)
+        F = metricized_fidelity(sa.left_minus, sa.right_minus,
+                                sb.left_minus, sb.right_minus)
+        # the real parts of +/- iu are rounding noise, so the oracle's lower
+        # band is the eigenvalue nearest E_-, not its first in (Re, Im) order
+        pairs = []
+        for s, p in ((sa, pa), (sb, pb)):
+            es = biorthogonal_eig(bloch_matrix(k, p))
+            n = int(np.argmin(np.abs(es.eigenvalues - s.energy_minus)))
+            assert abs(es.eigenvalues[n] - s.energy_minus) < 1e-12
+            pairs += [es.left_vectors[n], es.right_vectors[:, n]]
+        assert abs(F - metricized_fidelity(*pairs)) <= 1e-12
+
+    def test_berry_phase_is_finite_and_continuous(self):
+        # n_k = 512 puts k = pi on the grid; v1 = 1 there is the left limit
+        # (the real part is defined modulo 2 pi and switches branch at v1 = 1)
+        at = complex_berry_phase(SshParams(v1=1.0, u=0.1), n_k=512).value
+        below = complex_berry_phase(SshParams(v1=1.0 - 1e-9, u=0.1), n_k=512).value
+        assert np.isfinite(at)
+        assert abs(at - below) < 1e-6

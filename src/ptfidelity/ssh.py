@@ -83,13 +83,6 @@ def band_discriminant(k, p: SshParams):
     return re_eta**2 + im_eta**2 - p.u**2
 
 
-def chi_k_numerator(k, p: SshParams):
-    """Numerator of the per-momentum susceptibility along the v1 direction."""
-    return (np.sin(k) ** 2 - p.u**2
-            + p.v2 * (np.cos(k) - np.cos(3 * k))
-            + p.v2**2 * np.sin(2 * k) ** 2)
-
-
 class _Bands:
     """One stacked evaluation of a parameter set over momenta ``ks`` (its
     grid by default, one momentum for the scalar views); every per-momentum
@@ -134,7 +127,7 @@ class _Bands:
         # keeps the digits that u - |E| cancels where |eta_k| << u
         s = u + root if sigma > 0 else np.abs(g) ** 2 / (u + root)
         a = np.where(pos, 1j * u - sigma * root, 1j * s)
-        with np.errstate(divide="ignore", invalid="ignore"):    # both branches
+        with np.errstate(divide="ignore", invalid="ignore"):    # np.where computes both
             norm_l = np.where(pos, 1.0 / np.sqrt(2 * delta),
                               -sigma * np.sqrt(u / (-2 * delta * s)))
             norm_r = np.where(pos, 1.0 / (np.sqrt(2) * (sigma * 1j * u + root)),
@@ -224,6 +217,13 @@ def single_particle_states(k: float, p: SshParams) -> BlochStates:
         left_minus=lm[0],
         right_minus=rm[0],
     )
+
+
+def chi_k_numerator(k, p: SshParams):
+    """Numerator of the per-momentum susceptibility along the v1 direction."""
+    return (np.sin(k) ** 2 - p.u**2
+            + p.v2 * (np.cos(k) - np.cos(3 * k))
+            + p.v2**2 * np.sin(2 * k) ** 2)
 
 
 def chi_k_metricized(k: float, p: SshParams) -> float:

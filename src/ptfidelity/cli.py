@@ -158,15 +158,17 @@ def cmd_ssh_berry(args) -> int:
             try:
                 bp = complex_berry_phase(p, band=args.band, method=args.method,
                                          n_k=args.nk)
+                change = "" if bp.grid_change is None else _fmt(bp.grid_change)
                 rows.append([_fmt(v1), _fmt(u),
                              _fmt(bp.value.real), _fmt(bp.value.imag),
-                             bp.method, str(bp.n_k), ""])
+                             bp.method, str(bp.n_k), "", change])
             except PtfidelityError as err:
                 rows.append([_fmt(v1), _fmt(u), "nan", "nan",
                              args.method, str(args.nk),
-                             f"{type(err).__name__}"])
+                             f"{type(err).__name__}", ""])
+    # grid_change: the Richardson |gamma(2N) - gamma(N)| of the numeric loop
     _write_rows(args.out, ["v1", "u", "re_gamma", "im_gamma", "method",
-                           "n_k", "error"], rows)
+                           "n_k", "error", "grid_change"], rows)
     return 0
 
 

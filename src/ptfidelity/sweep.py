@@ -1,14 +1,18 @@
 """Parameter sweeps: grid evaluation, EP detection, structured output.
 
 A sweep walks the Cartesian product of its axes (last axis is the scan
-direction for fidelity records), evaluates every grid point in a work
-queue shared by ``threads`` workers, and assembles results in canonical
-grid order so output is independent of scheduling.  Points share no solver
-state: an XXZ point starts the Lanczos solve of its shifted endpoint from
-its own ground state, never from a neighbouring point's, and seeds its
-random start from its own grid index.  Per-point failures
-(exceptional points are expected inside broken-phase scans) are recorded
-in-band in the point's ``error`` field and never abort the sweep.
+direction for fidelity records).  A scan line is every point with the same
+size and the same index on every axis but the last; ``threads`` workers
+share a queue of lines, each walks its line in grid order, and results are
+assembled in canonical grid order.  Along a line an XXZ point starts the
+Lanczos solve at its scan value from the previous point's ground state
+(the first point of a line, and the point after one that failed, start
+cold), and the solve of its shifted endpoint from its own ground state.
+Every random part is seeded from the point's own grid index, so a point
+depends on its line and the seed, never on the thread count or schedule.
+Per-point failures (exceptional points are expected inside broken-phase
+scans) are recorded in-band in the point's ``error`` field and never abort
+the sweep.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import csv
 import io
 import json
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
@@ -257,6 +262,7 @@ class PointResult:
     pt_class_b: str = ""
     ep_flag: str = ""
     error: str = ""
+    matvecs: int = 0        # Lanczos operator applications at both endpoints
 
 
 @dataclass
@@ -280,19 +286,23 @@ class _Evaluator:
     """Fidelity between the ground states at a grid point and at the same
     point shifted by ``epsilon`` along the scan axis.  Subclasses turn the
     two parameter dicts into the endpoint fidelity in ``_pair``, which also
-    sets the point's endpoint PT classes."""
+    sets the point's endpoint PT classes.  ``start`` is what the previous
+    point on the scan line returned (None for a cold start); a call returns
+    what the next point should start from, and keeps no state itself."""
 
     def __init__(self, cfg: SweepConfig, L: int):
         self.cfg = cfg
         self.L = L
 
-    def __call__(self, point: PointResult) -> None:
+    def __call__(self, point: PointResult, start=None):
         cfg = self.cfg
         shifted = dict(point.axis_values)
         shifted[cfg.axes[-1].name] += cfg.epsilon
-        point.F = complex(self._pair(point, shifted))
+        F, state = self._pair(point, shifted, start)
+        point.F = complex(F)
         point.chi = self._chi(point)
         point.re_chi_density = point.chi.real / self.L
+        return state
 
     def _chi(self, point: PointResult) -> complex:
         return chi_finite_difference(point.F, self.cfg.epsilon)
@@ -305,12 +315,12 @@ class _SshEvaluator(_Evaluator):
                          u=merged.get("u", 0.0), w=merged.get("w", 1.0),
                          L=self.L)
 
-    def _pair(self, point: PointResult, shifted: dict[str, float]):
+    def _pair(self, point: PointResult, shifted: dict[str, float], start):
         ba = _Bands(self._params(point.axis_values))
         bb = _Bands(self._params(shifted))
         # classes first: an exceptional grid momentum fails only the fidelity
         point.pt_class_a, point.pt_class_b = ba.pt_class(), bb.pt_class()
-        return _many_body(ba, bb, self.cfg.definition).value
+        return _many_body(ba, bb, self.cfg.definition).value, None
 
     def _chi(self, point: PointResult) -> complex:
         if self.cfg.definition == "metricized" and self.cfg.axes[-1].name == "v1":
@@ -328,14 +338,15 @@ class _XxzEvaluator(_Evaluator):
         return XxzParams(jz=merged.get("jz", 0.0),
                          gamma=merged.get("gamma", 0.0), L=self.L)
 
-    def _pair(self, point: PointResult, shifted: dict[str, float]):
+    def _pair(self, point: PointResult, shifted: dict[str, float], start):
         cfg = self.cfg
         seed = _point_seed(cfg.seed, np.ravel_multi_index(point.index, self.shape))
         ga, gb, F = _ground_state_pair(
             self._params(point.axis_values), self._params(shifted),
-            seed, seed + 1, cfg.definition, tol_real=cfg.tol_real)
+            seed, seed + 1, cfg.definition, start=start, tol_real=cfg.tol_real)
         point.pt_class_a, point.pt_class_b = ga.pt_class, gb.pt_class
-        return F
+        point.matvecs = ga.matvecs + gb.matvecs
+        return F, ga.right
 
 
 class _DenseFileEvaluator(_Evaluator):
@@ -357,12 +368,12 @@ class _DenseFileEvaluator(_Evaluator):
         pt = "broken" if classify_pt(w, self.cfg.tol_real).is_broken(g) else "unbroken"
         return left, right, pt
 
-    def _pair(self, point: PointResult, shifted: dict[str, float]):
+    def _pair(self, point: PointResult, shifted: dict[str, float], start):
         scan_axis = self.cfg.axes[-1].name
         la, ra, ca = self._ground(point.axis_values[scan_axis])
         lb, rb, cb = self._ground(shifted[scan_axis])
         point.pt_class_a, point.pt_class_b = ca, cb
-        return fidelity_variant(self.cfg.definition, la, ra, lb, rb)
+        return fidelity_variant(self.cfg.definition, la, ra, lb, rb), None
 
 
 _EVALUATORS = {"ssh": _SshEvaluator, "xxz": _XxzEvaluator,
@@ -372,10 +383,12 @@ _EVALUATORS = {"ssh": _SshEvaluator, "xxz": _XxzEvaluator,
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate a sweep configuration into a structured result.
 
-    Points are computed in parallel over ``cfg.threads`` workers; output
-    ordering, seeds, and therefore every emitted value are independent of
-    the thread count.
+    Scan lines are computed in parallel over ``cfg.threads`` workers, and
+    each line's points in grid order, each starting from what the previous
+    point returned.  Output ordering, seeds, and therefore every emitted
+    value are independent of the thread count.
     """
+    began = time.perf_counter()
     cfg.validate()
     axis_names = [ax.name for ax in cfg.axes]
     axis_values = [ax.values() for ax in cfg.axes]
@@ -384,28 +397,35 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     evaluators = {L: _EVALUATORS[cfg.model](cfg, L) for L in sizes}
 
-    jobs: list[tuple[PointResult, _Evaluator]] = []
+    # np.ndindex runs the last axis fastest, so a scan line is a run of
+    # consecutive points
+    lines: list[tuple[_Evaluator, list[PointResult]]] = []
     for L in sizes:
         for index in np.ndindex(shape):
             vals = {name: float(axis_values[d][index[d]])
                     for d, name in enumerate(axis_names)}
-            jobs.append((PointResult(index=tuple(index), axis_values=vals,
-                                     L=evaluators[L].L), evaluators[L]))
-    points = [point for point, _ in jobs]
+            if index[-1] == 0:
+                lines.append((evaluators[L], []))
+            lines[-1][1].append(PointResult(index=tuple(index), axis_values=vals,
+                                            L=evaluators[L].L))
+    points = [point for _, line in lines for point in line]
 
-    def work(job):
-        point, evaluate = job
-        try:
-            evaluate(point)
-        except Exception as err:  # keep the sweep alive; record in-band
-            point.error = f"{type(err).__name__}: {err}"
+    def walk(job):
+        evaluate, line = job
+        start = None
+        for point in line:
+            try:
+                start = evaluate(point, start)
+            except Exception as err:  # keep the sweep alive; record in-band
+                point.error = f"{type(err).__name__}: {err}"
+                start = None
 
     if cfg.threads == 1:
-        for job in jobs:
-            work(job)
+        for job in lines:
+            walk(job)
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(work, jobs))
+            list(pool.map(walk, lines))
 
     for point in points:
         flags = []
@@ -429,13 +449,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     # consecutive grid points along the scan axis whose classes differ
     # bracket an exceptional point even when no single record straddles
     scan_axis = axis_names[-1]
-    by_slice: dict[tuple, list[PointResult]] = {}
-    for p in points:
-        key = (p.L,) + p.index[:-1]
-        by_slice.setdefault(key, []).append(p)
-    for group in by_slice.values():
-        group.sort(key=lambda p: p.index[-1])
-        for a, b in zip(group, group[1:]):
+    for _, line in lines:
+        for a, b in zip(line, line[1:]):
             if a.error or b.error or not a.pt_class_a or not b.pt_class_a:
                 continue
             if a.pt_class_a != b.pt_class_a:
@@ -487,6 +502,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         "tol_real": cfg.tol_real,
         "divergence_floor": cfg.divergence_floor,
         "threads": cfg.threads,
+        "wall_s": time.perf_counter() - began,
     }
     return SweepResult(
         config_text=cfg.source_text or cfg.to_text(),
@@ -549,6 +565,7 @@ def result_to_dict(result: SweepResult) -> dict:
                 "pt_class_b": p.pt_class_b,
                 "ep_flag": p.ep_flag,
                 "error": p.error,
+                "matvecs": p.matvecs,
             }
             for p in result.points
         ],
@@ -572,6 +589,7 @@ def result_from_dict(data: dict) -> SweepResult:
             pt_class_b=d["pt_class_b"],
             ep_flag=d["ep_flag"],
             error=d["error"],
+            matvecs=int(d.get("matvecs", 0)),
         )
         for d in data["points"]
     ]

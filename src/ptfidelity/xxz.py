@@ -323,19 +323,22 @@ def _with(p: XxzParams, direction: str, value: float) -> XxzParams:
 
 
 def _ground_state_pair(pa: XxzParams, pb: XxzParams, seed_a: int, seed_b: int,
-                       definition_tag: str, **solve,
+                       definition_tag: str, *, start: np.ndarray | None = None,
+                       **solve,
                        ) -> tuple[XxzGroundState, XxzGroundState, complex]:
     """Ground states at ``pa`` and ``pb`` and their fidelity.
 
     ``pb`` is a small shift of ``pa`` (``lam + epsilon``), so its solve
     starts from the ground state at ``pa``, an O(epsilon) perturbation of
     the one it seeks, and needs fewer Krylov steps than a random start.
-    ``seed_a`` seeds the random start at ``pa``, and ``seed_b`` the random
-    part of the start at ``pb`` and any reseed there; ``solve`` goes to
-    ``ground_state``.  Both solves stay inside this call, so a pair depends
-    on nothing but its arguments.
+    The solve at ``pa`` starts from ``start`` (a scan passes the ground
+    state of its previous point), or cold without one.  ``seed_a`` seeds
+    the random start, or random part of the start, at ``pa``, and
+    ``seed_b`` the random part of the start at ``pb``; each also seeds any
+    reseed at its endpoint.  ``solve`` goes to ``ground_state``.  A pair
+    depends on nothing but its arguments.
     """
-    ga = ground_state(pa, seed=seed_a, **solve)
+    ga = ground_state(pa, seed=seed_a, v0=start, **solve)
     gb = ground_state(pb, seed=seed_b, v0=ga.right, **solve)
     return ga, gb, fidelity_variant(definition_tag, ga.left, ga.right,
                                     gb.left, gb.right)
@@ -358,10 +361,14 @@ def fidelity_scan(
 
     Each grid value compares the tracked ground states at ``lam`` and
     ``lam + epsilon``; records whose endpoint PT classes differ straddle
-    an exceptional point.  Grid points are independent: each seeds its own
-    Lanczos start at ``lam`` (from ``seed`` and its index), and the solve at
-    ``lam + epsilon`` starts from that ground state, never from another
-    grid point's, so callers may parallelize freely.
+    an exceptional point.  The grid is one scan line, walked in order, as
+    in a sweep: the Lanczos solve at ``lam`` starts from the ground state at
+    the previous grid value (the first value, and the one after a failed
+    value, start cold), and the solve at ``lam + epsilon`` from the ground
+    state at ``lam``.  Random parts are seeded from ``seed`` and the grid
+    index, so a scan depends only on its arguments, but its points are not
+    independent: split a grid into separate scans and the points after
+    each split start cold.
     With ``on_error="record"`` solver failures (e.g. stalled convergence
     next to an exceptional point) are stored in the record's ``error``
     field instead of aborting the scan.
@@ -371,14 +378,16 @@ def fidelity_scan(
     grid = np.asarray(grid, dtype=float)
     solver_options = solver_options or {}
     records: list[FidelityRecord] = []
+    start = None
     for i, lam in enumerate(grid):
         record = FidelityRecord(lam=float(lam), epsilon=float(epsilon),
                                 F=0j, chi_fd=0j, definition_tag=definition_tag)
         try:
             ga, gb, F = _ground_state_pair(
                 _with(p, direction, lam), _with(p, direction, lam + epsilon),
-                seed + 2 * i, seed + 2 * i + 1, definition_tag,
+                seed + 2 * i, seed + 2 * i + 1, definition_tag, start=start,
                 method=method, tol_real=tol_real, **solver_options)
+            start = ga.right
             record.F = complex(F)
             record.chi_fd = chi_finite_difference(F, epsilon)
             record.pt_class_a, record.pt_class_b = ga.pt_class, gb.pt_class
@@ -387,6 +396,7 @@ def fidelity_scan(
             if on_error == "raise":
                 raise
             record.error = f"{type(err).__name__}: {err}"
+            start = None
         records.append(record)
     return records
 

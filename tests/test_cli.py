@@ -385,3 +385,27 @@ class TestSshOnePath:
         assert np.isfinite(float(fields["re_gamma"]))
         assert np.isfinite(float(fields["im_gamma"]))
         assert fields["error"] == ""
+
+
+class TestBerryGridChange:
+    """``ssh-berry`` reports the Richardson |gamma(2N) - gamma(N)|."""
+
+    def _row(self, tmp_path, *argv):
+        out = tmp_path / "berry.csv"
+        assert run_cli("ssh-berry", *argv, "--out", str(out)) == 0
+        header, row = [line.split(",") for line in out.read_text().splitlines()]
+        assert header[-1] == "grid_change"
+        return dict(zip(header, row))
+
+    def test_broken_phase_loop_does_not_converge(self, tmp_path):
+        fields = self._row(tmp_path, "--v1", "0.999", "--u", "0.1", "--nk", "512")
+        assert float(fields["grid_change"]) > 0.1
+
+    def test_unbroken_phase_loop_converges(self, tmp_path):
+        fields = self._row(tmp_path, "--v1", "0.5", "--u", "0.2", "--nk", "512")
+        assert float(fields["grid_change"]) < 1e-2
+
+    def test_analytic_method_leaves_it_empty(self, tmp_path):
+        fields = self._row(tmp_path, "--v1", "0.5", "--u", "0.2",
+                           "--method", "analytic")
+        assert fields["grid_change"] == ""

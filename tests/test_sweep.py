@@ -504,3 +504,121 @@ class TestXxzSizeValidation:
         text = SSH_CONFIG.replace("count = 3", "count = 3.5")
         with pytest.raises(ConfigError, match="count"):
             parse_config(text)
+
+
+class TestScanLineWarmStart:
+    """Each XXZ point starts its solve at the scan value from the ground
+    state of the previous point on its scan line."""
+
+    def test_two_axis_sweep_is_thread_invariant(self):
+        texts = set()
+        for threads in (1, 2, 3):
+            cfg = SweepConfig(model="xxz", axes=[Axis("jz", 0.5, 1.5, 3),
+                                                 Axis("gamma", 0.1, 0.35, 6)],
+                              sizes=[8], seed=11, threads=threads)
+            buf = io.StringIO()
+            write_csv(run_sweep(cfg), buf)
+            texts.add(buf.getvalue())
+        assert len(texts) == 1
+
+    # level crossings between symmetry blocks of the sector (dense oracle):
+    # the line walks from one block's ground state into the other's, and no
+    # endpoint lies within 3e-4 of the crossing
+    @pytest.mark.parametrize("L,jz,gamma_c", [(8, -1.0, 1.9740044539),
+                                              (10, -2.0, 0.7888430440)])
+    def test_line_across_a_level_crossing_matches_dense(self, monkeypatch, L, jz,
+                                                        gamma_c):
+        from ptfidelity import sweep
+        from ptfidelity.xxz import XxzParams, ground_state
+
+        solved, solve_pair = [], sweep._ground_state_pair
+
+        def pair(*args, **kwargs):
+            ga, gb, F = solve_pair(*args, **kwargs)
+            solved.extend([ga, gb])
+            return ga, gb, F
+
+        monkeypatch.setattr(sweep, "_ground_state_pair", pair)
+        cfg = SweepConfig(model="xxz", axes=[Axis("gamma", gamma_c - 0.0093,
+                                                  gamma_c + 0.0067, 9)],
+                          fixed={"jz": jz}, sizes=[L], seed=2)
+        result = run_sweep(cfg)
+        assert not any(p.error for p in result.points)
+        assert len(solved) == 18
+        for g in solved:
+            dense = ground_state(XxzParams(jz=jz, gamma=g.params.gamma, L=L),
+                                 method="dense")
+            assert abs(g.energy - dense.energy) <= 1e-8, g.params.gamma
+
+    def test_point_after_a_failure_starts_cold(self, monkeypatch):
+        from ptfidelity import NoConvergenceError, xxz
+
+        grid = np.linspace(0.0, 0.4, 5)
+        starts, solve = {}, xxz.ground_state
+
+        def failing(p, *, v0=None, **kwargs):
+            if p.gamma == grid[2]:
+                raise NoConvergenceError("injected")
+            starts.setdefault(p.gamma, v0)      # the first solve is at lam
+            return solve(p, v0=v0, **kwargs)
+
+        monkeypatch.setattr(xxz, "ground_state", failing)
+        cfg = SweepConfig(model="xxz", axes=[Axis("gamma", 0.0, 0.4, 5)],
+                          fixed={"jz": 1.0}, sizes=[6], seed=4)
+        errors = [bool(p.error) for p in run_sweep(cfg).points]
+        assert errors == [False, False, True, False, False]
+        cold = [starts[g] is None for g in grid[[0, 1, 3, 4]]]
+        assert cold == [True, False, True, False]
+        starts.clear()
+        recs = xxz.fidelity_scan(xxz.XxzParams(jz=1.0, gamma=0.0, L=6), "gamma",
+                                 grid, on_error="record")
+        assert [bool(r.error) for r in recs] == errors
+        assert [starts[g] is None for g in grid[[0, 1, 3, 4]]] == cold
+
+    def test_warm_line_takes_fewer_matvecs_than_cold_points(self):
+        from ptfidelity.sweep import _point_seed
+        from ptfidelity.xxz import XxzParams, _ground_state_pair
+
+        cfg = SweepConfig(model="xxz", axes=[Axis("gamma", 0.0, 0.4, 25)],
+                          fixed={"jz": 1.0}, sizes=[10], seed=0)
+        result = run_sweep(cfg)
+        assert not any(p.error for p in result.points)
+        assert all(p.matvecs > 0 for p in result.points)
+        cold = 0
+        for p in result.points:
+            seed = _point_seed(cfg.seed, p.index[0])
+            g = p.axis_values["gamma"]
+            ga, gb, _ = _ground_state_pair(
+                XxzParams(jz=1.0, gamma=g, L=10),
+                XxzParams(jz=1.0, gamma=g + cfg.epsilon, L=10),
+                seed, seed + 1, cfg.definition)
+            cold += ga.matvecs + gb.matvecs
+        assert sum(p.matvecs for p in result.points) < cold
+
+
+class TestPointObservability:
+    def test_matvecs_round_trip_and_default(self):
+        result = run_sweep(tiny_xxz_config())
+        data = result_to_dict(result)
+        assert [d["matvecs"] for d in data["points"]] \
+            == [p.matvecs for p in result.points]
+        assert all(p.matvecs > 0 for p in result.points)
+        assert result_from_dict(data).points == result.points
+        for d in data["points"]:        # a file written before the field
+            del d["matvecs"]
+        assert all(p.matvecs == 0 for p in result_from_dict(data).points)
+
+    def test_closed_form_points_count_no_matvecs(self):
+        result = run_sweep(parse_config(SSH_CONFIG))
+        assert all(p.matvecs == 0 for p in result.points)
+
+    def test_provenance_records_wall_time_in_json_only(self):
+        result = run_sweep(tiny_xxz_config())
+        buf = io.StringIO()
+        write_json(result, buf)
+        buf.seek(0)
+        assert read_json(buf).provenance["wall_s"] > 0
+        buf = io.StringIO()
+        write_csv(result, buf)
+        assert "wall_s" not in buf.getvalue()
+        assert "matvecs" not in buf.getvalue()

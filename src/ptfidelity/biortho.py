@@ -31,7 +31,19 @@ from .errors import (
     UnpairableSpectrumError,
 )
 
-EP_GUARD = 1e-12           # raw-overlap floor of a non-defective pair
+# Raw-overlap floor of a non-defective pair, the same at every scale of H.
+# Rounding moves an exact EP2 by about eps |H|, which can leave its computed
+# pair an overlap up to about sqrt(eps), while a pair at relative distance d
+# from an EP2 has overlap sqrt(2 d).  Measured with dense_ground_pair on
+# c [[i, 1], [1, -i]] for 61 scales c in [1e-3, 1e3]: the exact EP gives
+# overlaps of 6.5e-16 to 7.2e-12 (26 of them above 1e-12), and the pair
+# 1e-12 from it 1.41e-6 at every c (below that the residual bound fails
+# first).  sqrt(eps) = 1.5e-8 is 2000 times the largest exact-EP overlap
+# and 1/95 of the near pair's
+OVERLAP_FLOOR = float(np.sqrt(np.finfo(float).eps))
+# overlap of left and right vectors that coincide to rounding; the error
+# message names it for such a pair
+EP_GUARD = 1e-12
 DENSE_DIM_CAP = 20000
 
 
@@ -116,10 +128,12 @@ def gauge_factor(v: np.ndarray):
 
 
 def _defective(overlap: float, energy) -> DefectiveMatrixError:
+    floor = (f"ep_guard {EP_GUARD:.3e}" if overlap < EP_GUARD
+             else f"overlap floor sqrt(eps) = {OVERLAP_FLOOR:.3e}")
     return DefectiveMatrixError(
-        f"raw biorthogonal overlap {overlap:.3e} below ep_guard "
-        f"{EP_GUARD:.3e} near eigenvalue {energy}: matrix is at "
-        "(or numerically at) an exceptional point"
+        f"raw biorthogonal overlap {overlap:.3e} below {floor} near "
+        f"eigenvalue {energy}: matrix is at (or numerically at) an "
+        "exceptional point"
     )
 
 
@@ -149,7 +163,7 @@ def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float
         above ``1e-10 |H|_1``.
     DefectiveMatrixError
         If the raw overlap of the unit left and right vectors is below
-        ``EP_GUARD``: the ground pair is at, or numerically at, an
+        ``OVERLAP_FLOOR``: the ground pair is at, or numerically at, an
         exceptional point.  No other eigenpair is checked.
     """
     H = _as_square_complex(H)
@@ -178,7 +192,7 @@ def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float
             f"dense inverse iteration left residual "
             f"{max(residual, left_residual):.3e} at E={energy}")
     overlap = left @ right
-    if not abs(overlap) >= EP_GUARD:
+    if not abs(overlap) >= OVERLAP_FLOOR:
         raise _defective(abs(overlap), energy)
     return w, g, right, left / overlap, residual
 
@@ -201,8 +215,8 @@ def biorthogonal_eig(H) -> BiorthogonalEigensystem:
     ------
     DefectiveMatrixError
         If any pair's raw overlap (block smallest singular value) is below
-        ``EP_GUARD``: the matrix is at, or numerically at, an exceptional
-        point.
+        ``OVERLAP_FLOOR``: the matrix is at, or numerically at, an
+        exceptional point.
     """
     H = _as_square_complex(H)
     w, left, right = eig(H, left=True, check_finite=False)
@@ -226,7 +240,7 @@ def biorthogonal_eig(H) -> BiorthogonalEigensystem:
     for c, B in blocks:
         flags[c] = np.linalg.svd(B, compute_uv=False)[-1]
         overlap[c] = 1.0
-    bad = np.nonzero(flags < EP_GUARD)[0]
+    bad = np.nonzero(flags < OVERLAP_FLOOR)[0]
     if bad.size:
         raise _defective(flags[bad[0]], w[bad[0]])
     left /= overlap[:, None]

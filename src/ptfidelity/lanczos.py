@@ -6,16 +6,24 @@ equal to their plain transpose (the three-term recurrence of Cullum and
 Willoughby).  Each step reorthogonalizes fully against the current basis
 and enters those coefficients into a dense projected matrix ``T``, so
 ``H V = V T + w e_m^T`` holds to rounding and Rayleigh-Ritz on ``T`` keeps
-its accuracy as the basis grows.  Every ``RITZ_INTERVAL`` steps the Ritz
-values come from ``eigvals(T)``; only the wanted Ritz vector is formed, by
-inverse iteration on ``T - theta I``.  A cycle keeps at most ``KRYLOV_CAP``
-Krylov vectors (memory ``KRYLOV_CAP + 1`` vectors of the matrix dimension)
-and restarts when it reaches that size or when the true residual stops
-halving between two extractions: from its best Ritz vector if that vector's
-residual is finite and below the start vector's, else from a fresh random
-vector.
-"""
+its accuracy as the basis grows.
 
+A Ritz extraction takes the Ritz values from ``eigvals(T)`` and forms only
+the wanted Ritz vector, by inverse iteration on ``T - theta I``.  The first
+comes after ``RITZ_INTERVAL`` steps.  Each extraction yields the standard
+Ritz residual estimate ``||w|| |y_m|`` (Parlett, *The Symmetric Eigenvalue
+Problem*), and the next extraction is placed where that estimate, decaying
+geometrically at the rate it showed since the previous extraction (or since
+the start vector's own residual), reaches the tolerance: at least 1 and at
+most ``2 * RITZ_INTERVAL`` steps ahead, or ``RITZ_INTERVAL`` ahead if it
+did not fall.  The true residual is computed only where the estimate has
+met the tolerance, and at the end of a cycle.  A cycle keeps at most
+``KRYLOV_CAP`` Krylov vectors (memory ``KRYLOV_CAP + 1`` vectors of the
+matrix dimension) and restarts when it reaches that size or when the true
+residual stops halving between two checks: from its best Ritz vector if
+that vector's residual is finite and below the start vector's, else from a
+fresh random vector.
+"""
 from __future__ import annotations
 
 import logging
@@ -30,12 +38,14 @@ from .errors import NoConvergenceError, QuasiNullBreakdownError
 # Krylov vectors kept per cycle: large enough that the sector ground states
 # of the XXZ ring converge in one or two cycles up to L=20.  A Ritz
 # extraction costs O(m^3) on the dense m x m projection, and it is not cheap
-# next to a sparse matvec: at m=40, eig takes 1.6 ms and eigvals 0.9 ms,
-# while one L=10 sector matvec takes 6 us (one core of a shared 2-vCPU host,
-# OpenBLAS on one thread).  For small sectors the extractions, not the
-# matvecs, set the cost of a solve
+# next to a sparse matvec: eigvals takes 60 us at m=10, 230 us at m=20,
+# 590 us at m=30, 1.06 ms at m=40 and 6.9 ms at m=80, the Ritz vector
+# 30-80 us up to m=40, while one L=10 sector matvec takes 7 us (one core of
+# a shared 2-vCPU Xeon host, OpenBLAS on one thread).  For small sectors
+# the extractions, not the matvecs, set the cost of a solve
 KRYLOV_CAP = 80
-# Krylov steps between Ritz extractions
+# Krylov steps to the first Ritz extraction of a cycle; later extractions
+# are placed by the Ritz estimate, at most twice this far apart
 RITZ_INTERVAL = 10
 # relative quasi-norm floor |<w,w>| / ||w||^2 of a Krylov vector
 BREAKDOWN_GUARD = 1e-14
@@ -51,6 +61,7 @@ class LanczosResult:
     iterations: int             # Krylov steps summed over all cycles
     restarts: int               # restarts of every kind
     matvecs: int = 0            # operator applications: steps plus checks
+    extractions: int = 0        # projected eigensolves eigvals(T)
 
 
 def _resolve_apply(matrix):
@@ -59,10 +70,6 @@ def _resolve_apply(matrix):
     if hasattr(matrix, "apply"):
         return matrix.apply
     return lambda v: matrix @ v
-
-
-def _bilinear(u, v):
-    return np.dot(u, v)  # no conjugation
 
 
 def complex_symmetric_lanczos(
@@ -92,7 +99,7 @@ def complex_symmetric_lanczos(
     tol_resid : target on the true residual ``||H x - E x||_2``.
 
     A cycle ends when it reaches ``KRYLOV_CAP`` vectors or its true
-    residual fails to halve between two extractions.  The next cycle starts
+    residual fails to halve between two checks.  The next cycle starts
     from the cycle's best Ritz vector if that vector's residual is finite
     and below the start vector's own ``||H v0 - a v0|| / ||v0||``; otherwise
     the cycle made no progress (a near-breakdown can blow the projection up
@@ -104,8 +111,8 @@ def complex_symmetric_lanczos(
 
     The result's ``iterations`` counts every Krylov step of every cycle,
     ``matvecs`` every application of ``matrix`` (the steps plus the
-    true-residual checks), and ``restarts`` every restart, reseeds
-    included.
+    true-residual checks), ``extractions`` every projected eigensolve
+    ``eigvals(T)``, and ``restarts`` every restart, reseeds included.
 
     Raises
     ------
@@ -130,16 +137,17 @@ def complex_symmetric_lanczos(
     m_cap = min(KRYLOV_CAP, dim)
     basis = np.empty((m_cap + 1, dim), dtype=complex)   # rows: Krylov vectors
     T = np.empty((m_cap, m_cap), dtype=complex)         # projected matrix
-    steps = checks = restarts = reseeds = 0
+    steps = checks = extractions = restarts = reseeds = 0
     best_resid = np.inf
     while True:
-        kind, cycle_steps, cycle_checks, result, start_resid = _cycle(
-            apply, seed, basis, T, max_iter - steps, tol_resid)
+        kind, cycle_steps, cycle_checks, cycle_extractions, result, start_resid = (
+            _cycle(apply, seed, basis, T, max_iter - steps, tol_resid))
         steps += cycle_steps
         checks += cycle_checks
+        extractions += cycle_extractions
         if result is not None:
             result.iterations, result.restarts = steps, restarts
-            result.matvecs = steps + checks
+            result.matvecs, result.extractions = steps + checks, extractions
             if result.residual <= tol_resid:
                 return result
             best_resid = min(best_resid, result.residual)
@@ -165,17 +173,18 @@ def complex_symmetric_lanczos(
             seed = result.vector
 
 
-def _ritz_vector(T, theta, t_max):
+def _ritz_vector(T, theta):
     """Unit eigenvector of the small matrix ``T`` for its eigenvalue ``theta``.
 
     Two inverse-iteration solves with the LU factors of ``T - theta I``.
-    Pivots below ``eps * t_max`` (``t_max`` = max |T|) are raised to it, as
-    LAPACK's inverse iteration does, so an exactly singular shift
-    (``T - theta I = 0`` for a 1x1 invariant subspace) still gives the
-    eigenvector.
+    Pivots below ``eps * max |T|`` are raised to it, as LAPACK's inverse
+    iteration does, so an exactly singular shift (``T - theta I = 0`` for a
+    1x1 invariant subspace) still gives the eigenvector.
     """
-    pivot_floor = max(np.finfo(float).eps * t_max, np.finfo(float).tiny)
-    lu, piv, _ = zgetrf(T - theta * np.eye(len(T)), overwrite_a=True)
+    pivot_floor = max(np.finfo(float).eps * np.abs(T).max(), np.finfo(float).tiny)
+    shifted = np.array(T, order="F")
+    shifted.flat[::len(T) + 1] -= theta
+    lu, piv, _ = zgetrf(shifted, overwrite_a=True)
     small = np.flatnonzero(np.abs(lu.diagonal()) < pivot_floor)
     lu[small, small] = pivot_floor
     y = np.ones(len(T), dtype=complex)
@@ -185,28 +194,46 @@ def _ritz_vector(T, theta, t_max):
     return y
 
 
+def _steps_ahead(estimate, previous, steps, tol_resid):
+    """Krylov steps until the Ritz estimate reaches ``tol_resid``, if it keeps
+    the geometric decay it showed from ``previous`` over the last ``steps``
+    steps; ``RITZ_INTERVAL`` if it did not fall.  Clipped to
+    [1, 2 * RITZ_INTERVAL]."""
+    if not estimate < previous:                 # also NaN
+        return RITZ_INTERVAL
+    if estimate <= tol_resid:
+        return 1
+    rate = np.log(estimate / previous) / steps  # < 0
+    return int(min(max(np.ceil(np.log(tol_resid / estimate) / rate), 1),
+                   2 * RITZ_INTERVAL))
+
+
 def _cycle(apply, seed, basis, T, budget, tol_resid):
     """One Lanczos cycle from ``seed`` of at most ``len(T)`` and at most
     ``budget`` Krylov steps.  Returns why it stopped, the steps it took, the
-    true-residual checks it made, its best extracted Ritz pair (or None) and
-    the relative residual ``||H v0 - a v0|| / ||v0||`` of the start vector
-    (inf before the first step)."""
+    true-residual checks and the Ritz extractions it made, its best
+    extracted Ritz pair (or None) and the relative residual
+    ``||H v0 - a v0|| / ||v0||`` of the start vector (inf before the first
+    step)."""
     start_resid = np.inf
     if budget <= 0:
-        return "budget", 0, 0, None, start_resid
-    q0 = _bilinear(seed, seed)
+        return "budget", 0, 0, 0, None, start_resid
+    q0 = np.dot(seed, seed)                 # bilinear: no conjugation
     if abs(q0) < BREAKDOWN_GUARD * max(np.linalg.norm(seed) ** 2, 1e-300):
-        return "quasi-null", 0, 0, None, start_resid
+        return "quasi-null", 0, 0, 0, None, start_resid
     m_cap = T.shape[0]
     basis[0] = seed / np.sqrt(q0)
     T[:] = 0.0
-    t_max = 0.0                     # running max of |T[:m, :m]|
-    checks = 0
+    t_max = 0.0                     # running max of |alpha|, |beta|
+    checks = extractions = 0
     best: LanczosResult | None = None
+    # the next extraction, and the step and Ritz estimate of the last one
+    # (the start vector's own residual stands in before the first)
+    next_m, prev_m, prev_estimate = RITZ_INTERVAL, 1, np.inf
     for m in range(1, m_cap + 1):
         v = basis[m - 1]
         Av = apply(v)
-        alpha = _bilinear(v, Av)
+        alpha = np.dot(v, Av)
         w = basis[m]                # the next Krylov vector, built in place
         np.multiply(alpha, v, out=w)
         np.subtract(Av, w, out=w)
@@ -218,39 +245,45 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
         w -= basis[:m].T @ coeffs
         T[m - 1, m - 1] = alpha
         T[:m, m - 1] += coeffs
-        t_max = max(t_max, np.abs(T[:m, m - 1]).max())
+        t_max = max(t_max, abs(alpha))
 
-        nw = np.linalg.norm(w)
+        nw = np.sqrt(np.vdot(w, w).real)
         if m == 1:
-            start_resid = nw / np.linalg.norm(v)
+            start_resid = prev_estimate = nw / np.linalg.norm(v)
         invariant = nw <= 1e-13 * max(t_max, 1.0)
         last = invariant or m == m_cap or m == budget
-        if last or m % RITZ_INTERVAL == 0:
+        if last or m == next_m:
+            extractions += 1
             theta = np.linalg.eigvals(T[:m, :m])
             t = ground_state_index(theta)
-            y = _ritz_vector(T[:m, :m], theta[t], t_max)
+            y = _ritz_vector(T[:m, :m], theta[t])
             # cheap residual estimate ||w|| * |y_m| before forming the vector
-            if last or nw * abs(y[m - 1]) <= tol_resid:
+            estimate = nw * abs(y[m - 1])
+            if last or estimate <= tol_resid:
                 x = basis[:m].T @ y
                 x = x / gauge_factor(x)
                 resid = float(np.linalg.norm(apply(x) - theta[t] * x))
                 checks += 1
                 result = LanczosResult(complex(theta[t]), x, resid, 0, 0)
+                counts = m, checks, extractions
                 if resid <= tol_resid:
-                    return "converged", m, checks, result, start_resid
+                    return "converged", *counts, result, start_resid
                 if invariant:
-                    return "invariant", m, checks, result, start_resid
+                    return "invariant", *counts, result, start_resid
                 if best is not None and resid > 0.5 * best.residual:
-                    return "stagnation", m, checks, min(
+                    return "stagnation", *counts, min(
                         best, result, key=lambda r: r.residual), start_resid
                 if last:
                     kind = "budget" if m == budget else "krylov-cap"
-                    return kind, m, checks, result, start_resid
+                    return kind, *counts, result, start_resid
                 best = result
+            next_m = m + _steps_ahead(estimate, prev_estimate, m - prev_m,
+                                      tol_resid)
+            prev_m, prev_estimate = m, estimate
 
-        q = _bilinear(w, w)
+        q = np.dot(w, w)
         if abs(q) < BREAKDOWN_GUARD * nw**2:
-            return "quasi-null", m, checks, best, start_resid
+            return "quasi-null", m, checks, extractions, best, start_resid
         beta = np.sqrt(q)
         T[m, m - 1] = T[m - 1, m] = beta
         t_max = max(t_max, abs(beta))

@@ -39,8 +39,10 @@ DENSE_SECTOR_CAP = 5000
 # A start vector inside one symmetry block of the sector never leaves it and
 # misses a level of another block that has crossed below.  With this part,
 # such a level is missed only within about tol_resid * sqrt(dim) /
-# START_NOISE (2e-5 at L=10) of the crossing.  Weights down to 1e-6 took as
-# many Krylov steps on L=10 fidelity scans
+# START_NOISE (2e-5 at L=10) of the crossing.  The part costs Krylov steps:
+# the 200 solves of four warm 25-point L=10, Jz=1 lines on gamma in [0, 0.4]
+# take 5899 steps at 1e-4, 5145 at 1e-6 and 3936 without it, so a third of
+# their steps bring the other blocks' levels back in
 START_NOISE = 1e-4
 
 
@@ -209,8 +211,8 @@ class XxzGroundState:
     ``left`` is the covector (unconjugated transpose of ``right``, scaled
     so the pairing is 1); ``condition`` records ``|r^T r|``, which tends
     to zero on approach to an exceptional point.  ``iterations``,
-    ``restarts`` and ``matvecs`` are the Lanczos solver's counts (see
-    ``LanczosResult``); they are 0 for ``method="dense"``.
+    ``restarts``, ``matvecs`` and ``extractions`` are the Lanczos solver's
+    counts (see ``LanczosResult``); they are 0 for ``method="dense"``.
     """
 
     params: XxzParams
@@ -224,6 +226,7 @@ class XxzGroundState:
     iterations: int = 0
     restarts: int = 0
     matvecs: int = 0
+    extractions: int = 0
 
     @property
     def is_broken(self) -> bool:
@@ -297,7 +300,7 @@ def ground_state(
         )
         energy, right, residual = res.eigenvalue, res.vector, res.residual
         counts = dict(iterations=res.iterations, restarts=res.restarts,
-                      matvecs=res.matvecs)
+                      matvecs=res.matvecs, extractions=res.extractions)
     elif method == "dense":
         _check_dense_cap(dim)
         w, g, right, _, residual = dense_ground_pair(matrix.to_dense())

@@ -285,3 +285,27 @@ class TestDenseGroundPair:
         H = build_hamiltonian(XxzParams(jz=0.0, gamma=1.0, L=6)).to_dense()
         with pytest.raises(NoConvergenceError):
             dense_ground_pair(H)
+
+
+class TestScaleFreeOverlapFloor:
+    """The EP decision of the dense solvers does not depend on the scale of
+    the matrix: rounding leaves an exact EP2 an overlap far below
+    sqrt(eps), and a pair 1e-12 from it an overlap far above."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0, 10.0, 1000.0])
+    def test_exact_ep_raises_at_every_scale(self, c):
+        H = c * np.array([[1j, 1.0], [1.0, -1j]])
+        with pytest.raises(DefectiveMatrixError, match="overlap"):
+            dense_ground_pair(H)
+        with pytest.raises(DefectiveMatrixError):
+            biorthogonal_eig(H)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0, 10.0, 1000.0])
+    def test_pair_near_the_ep_returns(self, c):
+        d = 1e-12
+        H = c * np.array([[1j * (1 - d), 1.0], [1.0, -1j * (1 - d)]])
+        w, g, right, left, _ = dense_ground_pair(H)
+        assert abs(w[g] + c * np.sqrt(2 * d)) < 1e-3 * c * np.sqrt(2 * d)
+        assert abs(left @ right - 1.0) < 1e-9
+        # the raw overlap of the unit vectors is sqrt(2 d)
+        assert 1 / np.linalg.norm(left) == pytest.approx(np.sqrt(2 * d), rel=1e-3)

@@ -227,3 +227,50 @@ def test_cycle_ending_worse_than_its_start_reseeds():
     assert abs(res.eigenvalue - dense.energy) <= 1e-8
     assert dense.pt_class == "broken" and abs(res.eigenvalue.imag) > 1e-8
     assert res.restarts >= 1
+
+
+class TestPredictedExtractions:
+    """Ritz pairs are extracted where the Ritz estimate ||w|| |y_m| is
+    predicted to reach the tolerance, not at a fixed interval."""
+
+    def test_prediction_beyond_the_budget_stops_at_max_iter(self, monkeypatch):
+        # unconstrained, this cold solve extracts at m = 10 and then at the
+        # predicted m = 30; a budget of 25 cuts the second extraction short
+        basis = build_m0_basis(10)
+        op = CountingOperator(build_hamiltonian(XxzParams(jz=1.0, gamma=0.1, L=10),
+                                                basis))
+        sizes, eigvals = [], np.linalg.eigvals
+
+        def recording(a):
+            sizes.append(len(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        res = complex_symmetric_lanczos(op, basis.size, rng=np.random.default_rng(0))
+        assert sizes[:2] == [10, 30] and res.extractions == len(sizes)
+        sizes.clear()
+        op.calls = 0
+        with pytest.raises(NoConvergenceError, match="after 25 Krylov steps"):
+            complex_symmetric_lanczos(op, basis.size, max_iter=25,
+                                      rng=np.random.default_rng(0))
+        assert sizes == [10, 25]
+        assert op.calls == 25 + 1          # the steps and one residual check
+
+    def test_clustered_spectrum_still_converges(self):
+        # 500 evenly spaced levels: every cycle fills KRYLOV_CAP and the
+        # solve restarts; with extractions every 10 steps it took 510 steps
+        d = np.linspace(0.0, 1.0, 500) + 0.01j * np.sin(np.arange(500))
+        res = complex_symmetric_lanczos(np.diag(d), 500, max_iter=2000,
+                                        rng=np.random.default_rng(0))
+        assert abs(res.eigenvalue - d[0]) < 1e-10
+        assert res.residual <= 1e-10
+        assert res.iterations <= 750       # 513 with predicted extractions
+        assert res.restarts >= 1
+
+    def test_extractions_counted_across_cycles(self):
+        d = np.linspace(0.0, 1.0, 300) + 0.01j * np.sin(np.arange(300))
+        res = complex_symmetric_lanczos(np.diag(d), 300, max_iter=600,
+                                        rng=np.random.default_rng(9))
+        assert res.restarts >= 1
+        # at least one extraction per cycle, and none without a Krylov step
+        assert res.restarts + 1 <= res.extractions <= res.iterations

@@ -622,3 +622,33 @@ class TestPointObservability:
         write_csv(result, buf)
         assert "wall_s" not in buf.getvalue()
         assert "matvecs" not in buf.getvalue()
+
+
+class TestLineExtractions:
+    def test_warm_line_extracts_less_than_a_fixed_interval(self, monkeypatch):
+        # the solves of a warm-started scan line take fewer projected
+        # eigensolves than one every RITZ_INTERVAL steps would, and still
+        # find the dense ground energy at every endpoint
+        from ptfidelity import sweep
+        from ptfidelity.lanczos import RITZ_INTERVAL
+        from ptfidelity.xxz import ground_state
+
+        solved, solve_pair = [], sweep._ground_state_pair
+
+        def pair(*args, **kwargs):
+            ga, gb, F = solve_pair(*args, **kwargs)
+            solved.extend([ga, gb])
+            return ga, gb, F
+
+        monkeypatch.setattr(sweep, "_ground_state_pair", pair)
+        cfg = SweepConfig(model="xxz", axes=[Axis("gamma", 0.0, 0.4, 25)],
+                          fixed={"jz": 1.0}, sizes=[10], seed=0)
+        result = run_sweep(cfg)
+        assert not any(p.error for p in result.points)
+        assert len(solved) == 50
+        fixed = sum(-(-g.iterations // RITZ_INTERVAL) for g in solved)
+        assert 0 < sum(g.extractions for g in solved) < fixed
+        for g in solved:
+            dense = ground_state(g.params, method="dense")
+            assert dense.extractions == 0
+            assert abs(g.energy - dense.energy) <= 1e-10, g.params.gamma

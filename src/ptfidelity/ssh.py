@@ -8,7 +8,8 @@ states are returned as covectors (conjugate of the analytic left kets),
 so every pairing is a plain dot product.  Every per-momentum quantity
 comes from one stacked evaluation (``_Bands``): over the grid for sums and
 products, at one k for the scalar views ``bloch_matrix``, ``band_point``,
-``single_particle_states`` and ``chi_k_*``.
+``single_particle_states`` and ``chi_k_*``, and over the points of a sweep
+scan line times the grid, one row per point, for ``sweep``.
 """
 
 from __future__ import annotations
@@ -52,10 +53,16 @@ class SshParams:
 
     @property
     def tol_delta(self) -> float:
-        return 1e-10 * (self.w**2 + self.v1**2 + self.v2**2 + self.u**2)
+        return _tol_delta(self)
 
     def momenta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.L) / self.L
+
+
+def _tol_delta(c):
+    """Largest ``|Delta_k|`` read as an exceptional momentum, for the
+    couplings of a parameter set or of a stack (one per row)."""
+    return 1e-10 * (c.w**2 + c.v1**2 + c.v2**2 + c.u**2)
 
 
 def bloch_matrix(k: float, p: SshParams) -> np.ndarray:
@@ -84,25 +91,36 @@ def band_discriminant(k, p: SshParams):
 
 
 class _Bands:
-    """One stacked evaluation of a parameter set over momenta ``ks`` (its
-    grid by default, one momentum for the scalar views); every per-momentum
-    quantity of the module is read from here.  ``Delta_k`` and the
+    """One stacked evaluation over momenta ``ks`` (the grid by default, one
+    momentum for the scalar views); every per-momentum quantity of the
+    module is read from here.  ``p`` is one parameter set, whose arrays
+    have shape (n,), or a list of sets on the same ``L`` stacked as
+    rows, whose arrays have shape (P, n): the couplings ``v1, v2, u, w``
+    are then (P, 1) columns that broadcast against the momenta.  ``Delta_k`` and the
     exceptional-momentum mask are computed once, ``eta_k`` on first use."""
 
-    def __init__(self, p: SshParams, ks=None):
-        self.p = p
+    def __init__(self, p: SshParams | list[SshParams], ks=None):
+        if isinstance(p, SshParams):
+            self.v1, self.v2, self.u, self.w = p.v1, p.v2, p.u, p.w
+        else:
+            self.v1, self.v2, self.u, self.w = (
+                np.array([getattr(q, name) for q in p])[:, None]
+                for name in ("v1", "v2", "u", "w"))
+            p = p[0]
         self.ks = p.momenta() if ks is None else np.atleast_1d(ks)
-        self.delta = band_discriminant(self.ks, p)
-        self.at_ep = np.abs(self.delta) < p.tol_delta
+        # band_discriminant and _tol_delta read only the couplings
+        self.delta = band_discriminant(self.ks, self)
+        self.at_ep = np.abs(self.delta) < _tol_delta(self)
 
     @cached_property
     def eta(self) -> np.ndarray:
         """Off-diagonal Bloch entry ``eta_k``."""
-        p = self.p
-        return -p.w - p.v1 * np.exp(-1j * self.ks) - p.v2 * np.exp(1j * self.ks)
+        return -self.w - self.v1 * np.exp(-1j * self.ks) - self.v2 * np.exp(1j * self.ks)
 
-    def pt_class(self) -> str:
-        return "broken" if bool(np.any(self.delta < 0)) else "unbroken"
+    def pt_class(self):
+        """``"broken"`` as soon as any momentum carries imaginary energy,
+        else ``"unbroken"``; a list with one class per row for a stack."""
+        return np.where(np.any(self.delta < 0, axis=-1), "broken", "unbroken").tolist()
 
     def energies(self):
         """``E_+/- = +/- sqrt(Delta_k + 0j)``, and 0 at exceptional momenta;
@@ -112,14 +130,15 @@ class _Bands:
 
     def chi(self) -> np.ndarray:
         """Closed-form per-momentum susceptibilities for a v1 scan."""
-        return chi_k_numerator(self.ks, self.p) / (4 * self.delta**2)
+        return chi_k_numerator(self.ks, self) / (4 * self.delta**2)
 
     def states(self, sigma: int):
-        """Analytic left covectors (n, 2) and right vectors (n, 2) of band
-        ``sigma``, assuming no momentum is exceptional: ``conj((a, g))`` and
-        ``(conj(a), g)`` times their norms, with ``g = -conj(eta_k)`` and
-        ``a = iu - E`` (real branch) or ``i (u + sigma |E|)`` (imaginary)."""
-        delta, u = self.delta, self.p.u
+        """Analytic left covectors and right vectors of band ``sigma``, the
+        two components on a last axis of length 2, assuming no momentum is
+        exceptional: ``conj((a, g))`` and ``(conj(a), g)`` times their
+        norms, with ``g = -conj(eta_k)`` and ``a = iu - E`` (real branch)
+        or ``i (u + sigma |E|)`` (imaginary)."""
+        delta, u = self.delta, self.u
         g = -np.conj(self.eta)
         pos = delta > 0
         root = np.sqrt(np.abs(delta))       # |E|
@@ -132,25 +151,37 @@ class _Bands:
                               -sigma * np.sqrt(u / (-2 * delta * s)))
             norm_r = np.where(pos, 1.0 / (np.sqrt(2) * (sigma * 1j * u + root)),
                               1.0 / np.sqrt(2 * u * s))
-            left = np.conj(np.column_stack([a * norm_l, g * norm_l]))
-            right = np.column_stack([np.conj(a) * norm_r, g * norm_r])
+            left = np.conj(np.stack([a * norm_l, g * norm_l], axis=-1))
+            right = np.stack([np.conj(a) * norm_r, g * norm_r], axis=-1)
         # s = 0 only where eta_k = 0 and u > 0: the block is diag(iu, -iu),
         # not an EP, and its -iu eigenvector takes the fixed phase (0, 1)
         left[s == 0] = right[s == 0] = (0, 1)
         return left, right
 
 
-def _check_regular(*bands: _Bands) -> None:
-    """The one exceptional-momentum check: raises at the first momentum
-    that is exceptional for any of ``bands``, which share their momenta."""
-    bad = np.any([b.at_ep for b in bands], axis=0)
-    if np.any(bad):
-        m = int(np.argmax(bad))
+def _row_errors(*bands: _Bands) -> list[AtExceptionalMomentumError | None]:
+    """The one exceptional-momentum check, per row of ``bands`` (stacks of
+    the same shape on the same momenta): the error for the first momentum
+    that is exceptional for any of them, or None where every one is
+    regular.  A one-point stack has one row."""
+    bad = np.atleast_2d(np.any([b.at_ep for b in bands], axis=0))
+    errors = [None] * len(bad)
+    for row in np.flatnonzero(bad.any(axis=-1)):
+        m = int(np.argmax(bad[row]))
         k = float(bands[0].ks[m])
-        if len(bad) == 1:
-            raise AtExceptionalMomentumError(f"momentum k={k:.6f} is exceptional", k=k)
-        raise AtExceptionalMomentumError(
-            f"grid momentum m={m} (k={k:.6f}) is exceptional", momentum_index=m, k=k)
+        errors[row] = (
+            AtExceptionalMomentumError(f"momentum k={k:.6f} is exceptional", k=k)
+            if bad.shape[-1] == 1 else AtExceptionalMomentumError(
+                f"grid momentum m={m} (k={k:.6f}) is exceptional",
+                momentum_index=m, k=k))
+    return errors
+
+
+def _check_regular(*bands: _Bands) -> None:
+    """Raises the first row's error of ``_row_errors``."""
+    for err in _row_errors(*bands):
+        if err is not None:
+            raise err
 
 
 @dataclass(frozen=True)
@@ -282,7 +313,7 @@ def chi_k_rr(k: float, p: SshParams) -> float:
 
 @dataclass
 class ManyBodyFidelity:
-    value: complex
+    value: complex               # one per row for stacked evaluations
     momenta: np.ndarray
     per_k: np.ndarray            # single-particle fidelities f_k
 
@@ -297,11 +328,13 @@ class ChiTotal:
 def _many_body(ba: _Bands, bb: _Bands,
                definition_tag: str = "metricized") -> ManyBodyFidelity:
     """The one many-body product: lower-band fidelities ``f_k`` between two
-    stacked evaluations on the same grid, and their product."""
+    stacked evaluations of the same shape on the same grid, and their
+    product over the momenta (the last axis)."""
     _check_regular(ba, bb)
     per_k = fidelity_variant(definition_tag, *ba.states(-1), *bb.states(-1))
-    return ManyBodyFidelity(value=complex(np.prod(per_k)), momenta=ba.ks,
-                            per_k=per_k)
+    value = np.prod(per_k, axis=-1)
+    return ManyBodyFidelity(value=complex(value) if value.ndim == 0 else value,
+                            momenta=ba.ks, per_k=per_k)
 
 
 def many_body_fidelity(p: SshParams, v1_a: float, v1_b: float,

@@ -2,17 +2,20 @@
 
 A sweep walks the Cartesian product of its axes (last axis is the scan
 direction for fidelity records).  A scan line is every point with the same
-size and the same index on every axis but the last; ``threads`` workers
-share a queue of lines, each walks its line in grid order, and results are
+size and the same index on every axis but the last; it is the unit of
+sweep work.  ``threads`` workers share a queue of lines, the model's
+evaluator evaluates each whole line (``_Evaluator.walk``), and results are
 assembled in canonical grid order.  Along a line an XXZ point starts the
 Lanczos solve at its scan value from the previous point's ground state
 (the first point of a line, and the point after one that failed, start
 cold), and the solve of its shifted endpoint from its own ground state.
-Every random part is seeded from the point's own grid index, so a point
-depends on its line and the seed, never on the thread count or schedule.
-Per-point failures (exceptional points are expected inside broken-phase
-scans) are recorded in-band in the point's ``error`` field and never abort
-the sweep.
+An SSH line is evaluated stacked, every point and momentum at once, in
+blocks of at most ``LINE_BLOCK_CELLS`` cells; its values equal those of
+the one-point functions of ``ssh``.  Every random part is seeded from the
+point's own grid index, so a point depends on its line and the seed,
+never on the thread count or schedule.  Per-point failures (exceptional
+points are expected inside broken-phase scans) are recorded in-band in the
+point's ``error`` field and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .fidelity import (
     chi_finite_difference,
     fidelity_variant,
 )
-from .ssh import SshParams, _Bands, _many_body, chi_total
+from .ssh import SshParams, _Bands, _many_body, _row_errors
 from .xxz import (
     LANCZOS_BASIS_CAP,
     XxzParams,
@@ -49,6 +52,7 @@ from .xxz import (
 
 SCHEMA_VERSION = 1
 DIVERGENCE_FLOOR = -1.0e4          # per-site flag threshold for EP lines
+LINE_BLOCK_CELLS = 2**16           # point x momentum cells per stacked SSH block
 MODELS = ("ssh", "xxz", "dense-file")
 _AXIS_NAMES = {
     "ssh": ("v1", "u", "v2"),
@@ -128,6 +132,9 @@ class SweepConfig:
                     f"sector of at most {LANCZOS_BASIS_CAP} states")
         if self.model == "ssh" and not self.sizes and "L" not in self.fixed:
             raise ConfigError("ssh sweeps need L (fixed or sizes)")
+        if self.model == "ssh" and "v1" not in self.fixed and \
+                all(ax.name != "v1" for ax in self.axes):
+            raise ConfigError("ssh sweeps need v1 (fixed or an axis)")
         if self.model == "dense-file":
             for key in ("h0", "v"):
                 if key not in self.options:
@@ -282,50 +289,103 @@ def _point_seed(base: int, linear_index: int) -> int:
     return int(np.random.SeedSequence([base, linear_index]).generate_state(1)[0])
 
 
+def _error_text(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
+
+
 class _Evaluator:
     """Fidelity between the ground states at a grid point and at the same
-    point shifted by ``epsilon`` along the scan axis.  Subclasses turn the
-    two parameter dicts into the endpoint fidelity in ``_pair``, which also
-    sets the point's endpoint PT classes.  ``start`` is what the previous
-    point on the scan line returned (None for a cold start); a call returns
-    what the next point should start from, and keeps no state itself."""
+    point shifted by ``epsilon`` along the scan axis, evaluated one scan
+    line at a time by ``walk``.  The default walk goes through the line in
+    grid order: ``start`` is what the previous point returned (None for a
+    cold start, and after a point that raised), and a call returns what the
+    next point should start from.  Subclasses turn the two parameter dicts
+    into the endpoint fidelity in ``_pair``, which also sets the point's
+    endpoint PT classes, or override ``walk`` as a whole.  No evaluator
+    keeps state of its own between lines."""
 
     def __init__(self, cfg: SweepConfig, L: int):
         self.cfg = cfg
         self.L = L
 
-    def __call__(self, point: PointResult, start=None):
-        cfg = self.cfg
-        shifted = dict(point.axis_values)
-        shifted[cfg.axes[-1].name] += cfg.epsilon
-        F, state = self._pair(point, shifted, start)
-        point.F = complex(F)
-        point.chi = self._chi(point)
-        point.re_chi_density = point.chi.real / self.L
-        return state
+    def walk(self, line: list[PointResult]) -> None:
+        """Evaluate one scan line; a point that raises records its error
+        in-band and the sweep goes on."""
+        start = None
+        for point in line:
+            try:
+                start = self(point, start)
+            except Exception as err:  # keep the sweep alive; record in-band
+                point.error = _error_text(err)
+                start = None
 
-    def _chi(self, point: PointResult) -> complex:
-        return chi_finite_difference(point.F, self.cfg.epsilon)
+    def _shifted(self, point: PointResult) -> dict[str, float]:
+        shifted = dict(point.axis_values)
+        shifted[self.cfg.axes[-1].name] += self.cfg.epsilon
+        return shifted
+
+    def _record(self, point: PointResult, F, chi=None) -> None:
+        """Store the fidelity and the susceptibility (finite-difference
+        unless ``chi`` is given) of an evaluated point."""
+        point.F = complex(F)
+        point.chi = (chi_finite_difference(point.F, self.cfg.epsilon)
+                     if chi is None else complex(chi))
+        point.re_chi_density = point.chi.real / self.L
+
+    def __call__(self, point: PointResult, start=None):
+        F, state = self._pair(point, self._shifted(point), start)
+        self._record(point, F)
+        return state
 
 
 class _SshEvaluator(_Evaluator):
+    """A whole scan line as stacked evaluations over (points x momenta):
+    one ``_Bands`` at the points and one at their shifted endpoints, in
+    blocks of at most ``LINE_BLOCK_CELLS`` cells.  Per point it gives what
+    the one-point functions give: parameters that ``SshParams`` refuses and
+    exceptional momenta fail only that point, the classes are set before
+    the exceptional-momentum check, and a metricized v1 scan takes its
+    susceptibility from ``chi_total``'s closed form on the same stack."""
+
     def _params(self, vals: dict[str, float]) -> SshParams:
         merged = {**self.cfg.fixed, **vals}
         return SshParams(v1=merged["v1"], v2=merged.get("v2", 0.0),
                          u=merged.get("u", 0.0), w=merged.get("w", 1.0),
                          L=self.L)
 
-    def _pair(self, point: PointResult, shifted: dict[str, float], start):
-        ba = _Bands(self._params(point.axis_values))
-        bb = _Bands(self._params(shifted))
-        # classes first: an exceptional grid momentum fails only the fidelity
-        point.pt_class_a, point.pt_class_b = ba.pt_class(), bb.pt_class()
-        return _many_body(ba, bb, self.cfg.definition).value, None
+    def walk(self, line: list[PointResult]) -> None:
+        rows = []
+        for point in line:
+            try:
+                rows.append((point, self._params(point.axis_values),
+                             self._params(self._shifted(point))))
+            except Exception as err:  # e.g. a negative u: this point only
+                point.error = _error_text(err)
+        size = max(1, LINE_BLOCK_CELLS // self.L)
+        for i in range(0, len(rows), size):
+            self._block(*zip(*rows[i:i + size]))
 
-    def _chi(self, point: PointResult) -> complex:
+    def _block(self, points, params_a, params_b) -> None:
+        ba, bb = _Bands(list(params_a)), _Bands(list(params_b))
+        for point, ca, cb in zip(points, ba.pt_class(), bb.pt_class()):
+            point.pt_class_a, point.pt_class_b = ca, cb
+        regular = []
+        for i, err in enumerate(_row_errors(ba, bb)):
+            if err is None:
+                regular.append(i)
+            else:
+                points[i].error = _error_text(err)
+        if not regular:
+            return
+        if len(regular) < len(points):
+            ba, bb = (_Bands([params[i] for i in regular])
+                      for params in (params_a, params_b))
+        F = _many_body(ba, bb, self.cfg.definition).value
+        chi = [None] * len(regular)
         if self.cfg.definition == "metricized" and self.cfg.axes[-1].name == "v1":
-            return complex(chi_total(self._params(point.axis_values)).value)
-        return super()._chi(point)
+            chi = ba.chi().sum(axis=-1)
+        for j, i in enumerate(regular):
+            self._record(points[i], F[j], chi[j])
 
 
 class _XxzEvaluator(_Evaluator):
@@ -383,10 +443,11 @@ _EVALUATORS = {"ssh": _SshEvaluator, "xxz": _XxzEvaluator,
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate a sweep configuration into a structured result.
 
-    Scan lines are computed in parallel over ``cfg.threads`` workers, and
-    each line's points in grid order, each starting from what the previous
-    point returned.  Output ordering, seeds, and therefore every emitted
-    value are independent of the thread count.
+    Scan lines are computed in parallel over ``cfg.threads`` workers, each
+    line by its evaluator's ``walk``: point by point in grid order, each
+    starting from what the previous point returned, or stacked for SSH.
+    Output ordering, seeds, and therefore every emitted value are
+    independent of the thread count.
     """
     began = time.perf_counter()
     cfg.validate()
@@ -410,22 +471,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                                             L=evaluators[L].L))
     points = [point for _, line in lines for point in line]
 
-    def walk(job):
-        evaluate, line = job
-        start = None
-        for point in line:
-            try:
-                start = evaluate(point, start)
-            except Exception as err:  # keep the sweep alive; record in-band
-                point.error = f"{type(err).__name__}: {err}"
-                start = None
-
     if cfg.threads == 1:
-        for job in lines:
-            walk(job)
+        for evaluator, line in lines:
+            evaluator.walk(line)
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(walk, lines))
+            list(pool.map(lambda job: job[0].walk(job[1]), lines))
 
     for point in points:
         flags = []

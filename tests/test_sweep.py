@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 
 import numpy as np
@@ -652,3 +653,83 @@ class TestLineExtractions:
             dense = ground_state(g.params, method="dense")
             assert dense.extractions == 0
             assert abs(g.energy - dense.energy) <= 1e-10, g.params.gamma
+
+
+class TestSshStackedLine:
+    """An SSH scan line is one stacked evaluation over its points and the
+    momentum grid, in blocks of at most ``LINE_BLOCK_CELLS`` cells."""
+
+    @staticmethod
+    def _csv(cfg):
+        buf = io.StringIO()
+        write_csv(run_sweep(cfg), buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("name", ["ssh_grid_metricized", "ssh_grid_RR",
+                                      "ssh_exceptional_L4", "ssh_negative_u_scan",
+                                      "ssh_sizes"])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_line_split_into_blocks_gives_the_same_bytes(self, monkeypatch,
+                                                         tmp_path, name, rows):
+        from test_sweep_golden import CASES, DATA
+
+        from ptfidelity import sweep
+
+        cfg = CASES[name](tmp_path)
+        one_block = self._csv(cfg)
+        assert one_block == (DATA / f"{name}.csv").read_text(encoding="utf-8")
+        L_max = max(cfg.sizes or [int(cfg.fixed["L"])])
+        stacks, stack = [], sweep._Bands
+
+        def recording(p, *args, **kwargs):
+            stacks.append(len(p))
+            return stack(p, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "LINE_BLOCK_CELLS", rows * L_max)
+        monkeypatch.setattr(sweep, "_Bands", recording)
+        assert self._csv(cfg) == one_block
+        assert max(stacks) <= rows
+        n_lines = len(cfg.sizes or [0]) * math.prod(ax.count for ax in cfg.axes[:-1])
+        assert len(stacks) > 2 * n_lines      # some line took several blocks
+
+    def test_two_axis_sweep_is_thread_invariant(self):
+        texts = set()
+        for threads in (1, 2, 3):
+            cfg = SweepConfig(model="ssh", axes=[Axis("u", 0.05, 0.35, 5),
+                                                 Axis("v1", 0.5, 1.3, 9)],
+                              fixed={"v2": 0.1, "L": 31}, threads=threads)
+            texts.add(self._csv(cfg))
+        assert len(texts) == 1
+
+    def test_points_equal_the_one_point_functions(self):
+        from ptfidelity.ssh import chi_total, many_body_fidelity
+
+        fixed = {"u": 0.2, "v2": 0.0, "L": 101}
+        cfg = SweepConfig(model="ssh", axes=[Axis("v1", 0.5, 1.3, 25)],
+                          fixed=fixed)
+        result = run_sweep(cfg)
+        p = SshParams(v1=0.5, u=0.2, L=101)
+        classes = set()
+        for point in result.points:
+            v1 = point.axis_values["v1"]
+            assert point.error == ""
+            assert point.F == many_body_fidelity(p, v1, v1 + cfg.epsilon).value
+            assert point.chi == chi_total(SshParams(v1=v1, u=0.2, L=101)).value
+            classes.add(point.pt_class_a)
+        assert classes == {"unbroken", "broken"}
+
+
+class TestSshNeedsV1:
+    def test_config_without_v1_is_refused(self):
+        cfg = SweepConfig(model="ssh", axes=[Axis("u", 0.1, 0.3, 3)],
+                          fixed={"L": 11})
+        with pytest.raises(ConfigError, match="v1"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="v1"):
+            run_sweep(cfg)
+
+    def test_v1_fixed_or_on_an_axis_is_accepted(self):
+        SweepConfig(model="ssh", axes=[Axis("u", 0.1, 0.3, 3)],
+                    fixed={"L": 11, "v1": 0.8}).validate()
+        SweepConfig(model="ssh", axes=[Axis("v1", 0.1, 0.3, 3)],
+                    fixed={"L": 11}).validate()

@@ -361,6 +361,8 @@ class _SshEvaluator(_Evaluator):
                              self._params(self._shifted(point))))
             except Exception as err:  # e.g. a negative u: this point only
                 point.error = _error_text(err)
+        if not rows:        # SshParams refused them all (an L below 2, say)
+            return
         size = max(1, LINE_BLOCK_CELLS // self.L)
         for i in range(0, len(rows), size):
             self._block(*zip(*rows[i:i + size]))

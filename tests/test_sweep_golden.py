@@ -60,6 +60,8 @@ CASES = {
         [Axis("u", -0.1, 0.2, 4)], {"v1": 0.8, "L": 21}),
     "ssh_negative_u_lines": lambda tmp_path: _ssh(
         [Axis("u", -0.2, 0.2, 3), Axis("v1", 0.6, 1.0, 3)], {"L": 21}),
+    "ssh_zero_L": lambda tmp_path: _ssh(
+        [Axis("v1", 0.6, 1.0, 3)], {"u": 0.1, "L": 0}),
     "ssh_sizes": lambda tmp_path: _ssh(
         [Axis("v1", 0.7, 1.1, 9)], {"u": 0.15}, sizes=[11, 13, 15]),
     "xxz_tiny": lambda tmp_path: SweepConfig(

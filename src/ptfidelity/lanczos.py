@@ -1,12 +1,21 @@
-"""Restarted Lanczos iteration for complex symmetric matrices.
+"""Restarted Lanczos iteration for complex symmetric matrices, and its
+real counterpart.
 
 The iteration builds a Krylov basis orthogonal under the unconjugated
-bilinear form ``<u, v> = sum_i u_i v_i``, which tridiagonalizes matrices
-equal to their plain transpose (the three-term recurrence of Cullum and
-Willoughby).  Each step reorthogonalizes fully against the current basis
-and enters those coefficients into a dense projected matrix ``T``, so
-``H V = V T + w e_m^T`` holds to rounding and Rayleigh-Ritz on ``T`` keeps
-its accuracy as the basis grows.
+bilinear form ``<u, v> = sum_i u_i v_i``.  Each step orthogonalizes the
+new vector against the whole basis in two blocked Gram-Schmidt passes and
+enters the coefficients of both into column ``m-1`` of a dense projected
+matrix ``T``, so ``H V = V T + w e_m^T`` holds to rounding and
+Rayleigh-Ritz on ``T`` keeps its accuracy as the basis grows.  For a
+matrix equal to its plain transpose ``T`` is tridiagonal up to rounding:
+the three-term recurrence of Cullum and Willoughby.
+
+The iteration runs in the dtype of its start vector.  A real start vector
+with an operator that maps real vectors to real vectors gives a real
+basis, a real ``T`` and real reseeds: the bilinear form is then the
+Euclidean inner product and the step is Arnoldi's, so ``T`` is upper
+Hessenberg and the operator need not be symmetric.  Without a start
+vector the iteration is complex.
 
 A Ritz extraction takes the Ritz values from ``eigvals(T)`` and forms only
 the wanted Ritz vector, by inverse iteration on ``T - theta I``.  The first
@@ -20,9 +29,9 @@ did not fall.  The true residual is computed only where the estimate has
 met the tolerance, and at the end of a cycle.  A cycle keeps at most
 ``KRYLOV_CAP`` Krylov vectors (memory ``KRYLOV_CAP + 1`` vectors of the
 matrix dimension) and restarts when it reaches that size or when the true
-residual stops halving between two checks: from its best Ritz vector if
-that vector's residual is finite and below the start vector's, else from a
-fresh random vector.
+residual stops halving between two checks: from its best Ritz vector (its
+real part in a real iteration) if that vector's residual is finite and
+below the start vector's, else from a fresh random vector.
 """
 from __future__ import annotations
 
@@ -30,7 +39,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, zgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
 from .biortho import gauge_factor, ground_state_index
 from .errors import NoConvergenceError, QuasiNullBreakdownError
@@ -38,11 +47,13 @@ from .errors import NoConvergenceError, QuasiNullBreakdownError
 # Krylov vectors kept per cycle: large enough that the sector ground states
 # of the XXZ ring converge in one or two cycles up to L=20.  A Ritz
 # extraction costs O(m^3) on the dense m x m projection, and it is not cheap
-# next to a sparse matvec: eigvals takes 60 us at m=10, 230 us at m=20,
-# 590 us at m=30, 1.06 ms at m=40 and 6.9 ms at m=80, the Ritz vector
-# 30-80 us up to m=40, while one L=10 sector matvec takes 7 us (one core of
-# a shared 2-vCPU Xeon host, OpenBLAS on one thread).  For small sectors
-# the extractions, not the matvecs, set the cost of a solve
+# next to a sparse matvec.  eigvals of a real T takes 25 us at m=10, 73 us
+# at m=20, 165 us at m=30, 0.30 ms at m=40 and 2.1-2.5 ms at m=80; of a
+# complex T 53 us, 0.21 ms, 0.52 ms, 0.95 ms and 5.9 ms (2.2-3.2x the real
+# one).  The Ritz vector takes 30-80 us up to m=40, while one L=10 sector
+# matvec takes 5 us in the real form and 6 us complex (one core of a shared
+# 2-vCPU Xeon host, OpenBLAS on one thread).  For small sectors the
+# extractions, not the matvecs, set the cost of a solve
 KRYLOV_CAP = 80
 # Krylov steps to the first Ritz extraction of a cycle; later extractions
 # are placed by the Ritz estimate, at most twice this far apart
@@ -82,31 +93,39 @@ def complex_symmetric_lanczos(
     restart_max: int = 5,
     rng: np.random.Generator | None = None,
 ) -> LanczosResult:
-    """Extremal eigenpair of a complex symmetric matrix.
+    """Extremal eigenpair of a complex symmetric matrix, or of a real one.
 
     Returns the eigenpair whose eigenvalue has the smallest real part among
-    the Ritz values, tie-broken toward larger imaginary part.  The matching
-    left covector is the unconjugated transpose of the returned right
-    vector (complex symmetry).
+    the Ritz values, tie-broken toward larger imaginary part.  For complex
+    symmetric input the matching left covector is the unconjugated
+    transpose of the returned right vector; for a real nonsymmetric
+    operator it is not.
 
     Parameters
     ----------
     matrix : callable, object with ``apply``, or anything supporting ``@``.
     dim : vector dimension.
-    v0 : optional seed vector with nonzero quasi-norm ``<v, v>``.
+    v0 : optional seed vector with nonzero quasi-norm ``<v, v>``.  Its dtype
+        sets the arithmetic: a real ``v0`` runs the iteration in real
+        arithmetic (Arnoldi on a real operator, which must map real vectors
+        to real vectors), with real reseeds; a complex ``v0``, or none,
+        runs it in complex arithmetic.
     max_iter : total budget of Krylov steps (one matvec each) summed over
         all cycles; the true-residual checks come on top of it.
     tol_resid : target on the true residual ``||H x - E x||_2``.
 
     A cycle ends when it reaches ``KRYLOV_CAP`` vectors or its true
     residual fails to halve between two checks.  The next cycle starts
-    from the cycle's best Ritz vector if that vector's residual is finite
-    and below the start vector's own ``||H v0 - a v0|| / ||v0||``; otherwise
+    from the cycle's best Ritz vector (in a real iteration, its real part)
+    if that vector's residual is finite and below the start vector's own
+    ``||H v0 - a v0|| / ||v0||``; otherwise
     the cycle made no progress (a near-breakdown can blow the projection up
     to a Ritz residual of 1e98), and the iteration reseeds from a fresh
     random vector of ``rng``.  A Krylov vector whose relative quasi-norm
-    falls below ``BREAKDOWN_GUARD`` (a quasi-null breakdown), and an
-    invariant subspace without a converged pair, reseed the same way.  At
+    falls below ``BREAKDOWN_GUARD`` (a quasi-null breakdown, possible only
+    in complex arithmetic: a real vector's quasi-norm is its squared norm),
+    and an invariant subspace without a converged pair, reseed the same
+    way.  At
     most ``restart_max`` reseeds are made.
 
     The result's ``iterations`` counts every Krylov step of every cycle,
@@ -127,16 +146,21 @@ def complex_symmetric_lanczos(
     if rng is None:
         rng = np.random.default_rng(0)
 
+    real = v0 is not None and np.isrealobj(v0)
+    dtype = float if real else complex
+
     def random_seed():
+        if real:
+            return rng.standard_normal(dim)
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
-    seed = random_seed() if v0 is None else np.asarray(v0, dtype=complex)
+    seed = random_seed() if v0 is None else np.asarray(v0, dtype=dtype)
     if seed.shape != (dim,):
         raise ValueError(f"seed vector must have shape ({dim},)")
 
     m_cap = min(KRYLOV_CAP, dim)
-    basis = np.empty((m_cap + 1, dim), dtype=complex)   # rows: Krylov vectors
-    T = np.empty((m_cap, m_cap), dtype=complex)         # projected matrix
+    basis = np.empty((m_cap + 1, dim), dtype=dtype)     # rows: Krylov vectors
+    T = np.empty((m_cap, m_cap), dtype=dtype)           # projected matrix
     steps = checks = extractions = restarts = reseeds = 0
     best_resid = np.inf
     while True:
@@ -170,26 +194,30 @@ def complex_symmetric_lanczos(
                 )
             seed = random_seed()
         else:
-            seed = result.vector
+            seed = result.vector.real if real else result.vector
 
 
 def _ritz_vector(T, theta):
     """Unit eigenvector of the small matrix ``T`` for its eigenvalue ``theta``.
 
-    Two inverse-iteration solves with the LU factors of ``T - theta I``.
-    Pivots below ``eps * max |T|`` are raised to it, as LAPACK's inverse
+    Two inverse-iteration solves with the LU factors of ``T - theta I``,
+    in real arithmetic when ``T`` and ``theta`` are both real.  Pivots
+    below ``eps * max |T|`` are raised to it, as LAPACK's inverse
     iteration does, so an exactly singular shift (``T - theta I = 0`` for a
     1x1 invariant subspace) still gives the eigenvector.
     """
+    real = np.isrealobj(T) and np.imag(theta) == 0
+    dtype, getrf, getrs = ((float, dgetrf, dgetrs) if real
+                           else (complex, zgetrf, zgetrs))
     pivot_floor = max(np.finfo(float).eps * np.abs(T).max(), np.finfo(float).tiny)
-    shifted = np.array(T, order="F")
-    shifted.flat[::len(T) + 1] -= theta
-    lu, piv, _ = zgetrf(shifted, overwrite_a=True)
+    shifted = np.array(T, dtype=dtype, order="F")
+    shifted.flat[::len(T) + 1] -= np.real(theta) if real else theta
+    lu, piv, _ = getrf(shifted, overwrite_a=True)
     small = np.flatnonzero(np.abs(lu.diagonal()) < pivot_floor)
     lu[small, small] = pivot_floor
-    y = np.ones(len(T), dtype=complex)
+    y = np.ones(len(T), dtype=dtype)
     for _ in range(2):
-        y, _ = zgetrs(lu, piv, y, overwrite_b=True)
+        y, _ = getrs(lu, piv, y, overwrite_b=True)
         y /= np.linalg.norm(y)
     return y
 
@@ -231,25 +259,22 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
     # (the start vector's own residual stands in before the first)
     next_m, prev_m, prev_estimate = RITZ_INTERVAL, 1, np.inf
     for m in range(1, m_cap + 1):
-        v = basis[m - 1]
-        Av = apply(v)
-        alpha = np.dot(v, Av)
+        V = basis[:m]
+        Av = apply(V[m - 1])
+        # two blocked Gram-Schmidt passes in the bilinear form; the first
+        # holds alpha and beta, and both fill column m-1 of the projection
         w = basis[m]                # the next Krylov vector, built in place
-        np.multiply(alpha, v, out=w)
-        np.subtract(Av, w, out=w)
-        if m > 1:
-            w -= T[m - 2, m - 1] * basis[m - 2]
-        # full reorthogonalization in the bilinear form (single blocked
-        # pass); its coefficients belong to column m-1 of the projection
-        coeffs = basis[:m] @ w
-        w -= basis[:m].T @ coeffs
-        T[m - 1, m - 1] = alpha
-        T[:m, m - 1] += coeffs
-        t_max = max(t_max, abs(alpha))
+        coeffs = V @ Av
+        np.subtract(Av, V.T @ coeffs, out=w)
+        again = V @ w
+        w -= V.T @ again
+        coeffs += again
+        T[:m, m - 1] = coeffs
+        t_max = max(t_max, abs(coeffs[m - 1]))
 
         nw = np.sqrt(np.vdot(w, w).real)
         if m == 1:
-            start_resid = prev_estimate = nw / np.linalg.norm(v)
+            start_resid = prev_estimate = nw / np.linalg.norm(V[0])
         invariant = nw <= 1e-13 * max(t_max, 1.0)
         last = invariant or m == m_cap or m == budget
         if last or m == next_m:
@@ -285,6 +310,6 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
         if abs(q) < BREAKDOWN_GUARD * nw**2:
             return "quasi-null", m, checks, extractions, best, start_resid
         beta = np.sqrt(q)
-        T[m, m - 1] = T[m - 1, m] = beta
+        T[m, m - 1] = beta
         t_max = max(t_max, abs(beta))
         w /= beta

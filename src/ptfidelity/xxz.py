@@ -8,6 +8,17 @@ with ``s = +/-1``, and the staggered imaginary field adds
 the zero-magnetization sector, where the matrix is complex symmetric in
 the spin-z product basis and the left ground covector is the plain
 transpose of the right vector.
+
+The model is PT-symmetric: with ``F`` the global spin flip and ``K``
+complex conjugation, ``Theta = F K`` (``Theta^2 = 1``) commutes with every
+sector matrix, because ``F`` keeps the exchange and Ising terms and
+reverses the staggered field.  So every sector matrix is unitarily
+equivalent to a real sparse matrix, its real form (``_RealPattern``), and
+the Lanczos ground state is solved there in real arithmetic.  Its start
+vector is the largest ``Theta``-real part of a given vector plus real
+noise, or a real random vector, and the solution is mapped back to the
+spin-z basis.  An operator passed to ``ground_state`` is applied through the
+same unitary, so it must commute with ``Theta`` too.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from .biortho import (
     SparseComplexSymmetricMatrix,
     dense_full_spectrum,
     dense_ground_pair,
+    gauge_factor,
 )
 from .errors import (
     BasisCapExceededError,
@@ -31,7 +43,7 @@ from .errors import (
     OddLError,
 )
 from .fidelity import DEFAULT_EPSILON, FidelityRecord, chi_finite_difference, fidelity_variant
-from .lanczos import complex_symmetric_lanczos
+from .lanczos import _resolve_apply, complex_symmetric_lanczos
 
 LANCZOS_BASIS_CAP = comb(28, 14)       # ~4.0e7 configurations
 DENSE_SECTOR_CAP = 5000
@@ -39,11 +51,14 @@ DENSE_SECTOR_CAP = 5000
 # A start vector inside one symmetry block of the sector never leaves it and
 # misses a level of another block that has crossed below.  With this part,
 # such a level is missed only within about tol_resid * sqrt(dim) /
-# START_NOISE (2e-5 at L=10) of the crossing.  The part costs Krylov steps:
-# the 200 solves of four warm 25-point L=10, Jz=1 lines on gamma in [0, 0.4]
-# take 5899 steps at 1e-4, 5145 at 1e-6 and 3936 without it, so a third of
-# their steps bring the other blocks' levels back in
+# START_NOISE (2e-5 at L=10) of the crossing.  The part is real, like the
+# real form it starts, and it costs Krylov steps: the 200 solves of four
+# warm 25-point L=10, Jz=1 lines on gamma in [0, 0.4] take 5629 steps at
+# 1e-4, 4581 at 1e-6 and 3408 without it (5899, 5145 and 3936 in complex
+# arithmetic), so two fifths of their steps bring the other blocks' levels
+# back in
 START_NOISE = 1e-4
+_SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -173,6 +188,124 @@ def _sector_pattern(L: int) -> _SectorPattern:
     return out
 
 
+@dataclass(frozen=True)
+class _RealPattern:
+    """Parameter-free pieces of the real form of the ``L``-site sector
+    matrix, all read-only.
+
+    The spin flip ``F`` maps the configuration of index ``i`` to its bit
+    complement, of index ``n - 1 - i`` (complement reverses the ascending
+    order); no configuration is its own complement.  With representatives
+    ``r < n/2`` and the unitary ``S`` of columns ``(e_r + e_Fr) / sqrt 2``,
+    then ``i (e_r - e_Fr) / sqrt 2``, the sector matrix ``H`` becomes
+
+        S^H H S = [[X+ + jz I, -gamma D], [gamma D, X- + jz I]]
+
+    with ``(X+-)_rs = H_xx[r, s] +- H_xx[r, F s]`` from the exchange ``H_xx``,
+    and ``I`` and ``D`` the Ising and staggered diagonals on the
+    representatives.  It is real, and ``J``-symmetric for ``J = diag(1, -1)``
+    (blocks), but not symmetric.  ``exchange``, ``ising`` and ``staggered``
+    are aligned data arrays on one CSR pattern; the real form at
+    ``(jz, gamma)`` has data ``exchange + jz * ising + gamma * staggered``.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    exchange: np.ndarray
+    ising: np.ndarray
+    staggered: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _real_pattern(L: int) -> _RealPattern:
+    """The read-only ``_RealPattern`` of ``L`` sites, folded once per ``L``
+    from the representative rows of ``_sector_pattern``."""
+    pat = _sector_pattern(L)
+    n = len(pat.ising)
+    h = n // 2
+    # representative rows of H_xx (diagonal slots included, as zeros), each
+    # column folded onto its representative, with the sign it has in X-
+    end = pat.indptr[h]
+    rows = np.repeat(np.arange(h), np.diff(pat.indptr[:h + 1]))
+    cols = pat.indices[:end]
+    hops = pat.data[:end].real
+    flipped = cols >= h
+    folded = np.where(flipped, n - 1 - cols, cols)
+    cells, slot = np.unique(rows * h + folded, return_inverse=True)
+    x_plus = np.bincount(slot, hops, len(cells))
+    x_minus = np.bincount(slot, np.where(flipped, -hops, hops), len(cells))
+    r, s = np.divmod(cells, h)
+    reps = np.arange(h)
+    diagonal = np.where(r == s, pat.ising[r], 0.0)
+    zeros = np.zeros(h)
+    rows = np.concatenate([r, r + h, reps, reps + h])
+    cols = np.concatenate([s, s + h, reps + h, reps])
+    order = np.lexsort((cols, rows))
+    out = _RealPattern(
+        indices=cols[order].astype(pat.indices.dtype),
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]
+                              ).astype(pat.indptr.dtype),
+        exchange=np.concatenate([x_plus, x_minus, zeros, zeros])[order],
+        ising=np.concatenate([diagonal, diagonal, zeros, zeros])[order],
+        staggered=np.concatenate([np.zeros(2 * len(cells)),
+                                  -pat.staggered[:h], pat.staggered[:h]])[order],
+    )
+    for a in vars(out).values():
+        a.flags.writeable = False
+    return out
+
+
+def _real_hamiltonian(p: XxzParams) -> sparse.csr_matrix:
+    """The real form ``S^H H S`` of the sector matrix (see ``_RealPattern``)
+    as a real CSR matrix; the pattern is shared read-only and every call
+    gets its own ``data``."""
+    pat = _real_pattern(p.L)
+    data = pat.exchange + p.jz * pat.ising + p.gamma * pat.staggered
+    n = len(pat.indptr) - 1
+    return sparse.csr_matrix((data, pat.indices, pat.indptr), shape=(n, n))
+
+
+def _from_real_form(u: np.ndarray) -> np.ndarray:
+    """``S u``: the spin-z basis vector of real-form coordinates ``u``; a
+    complex-linear map, so ``u`` may be complex."""
+    h = len(u) // 2
+    a, b = u[:h], 1j * u[h:]
+    return _SQRT_HALF * np.concatenate([a + b, (a - b)[::-1]])
+
+
+def _to_real_form(x: np.ndarray) -> np.ndarray:
+    """``S^H x``: real-form coordinates of the spin-z basis vector ``x``,
+    real exactly when ``x`` is ``Theta``-real."""
+    h = len(x) // 2
+    top, flipped = x[:h], x[::-1][:h]          # x_r and x_Fr
+    return _SQRT_HALF * np.concatenate([top + flipped, -1j * (top - flipped)])
+
+
+def _theta_real_start(v: np.ndarray) -> np.ndarray:
+    """Real-form coordinates of the largest ``Theta``-real part of ``v``.
+
+    ``(c v + Theta(c v)) / 2`` has squared norm
+    ``(||v||^2 + Re(conj(c)^2 <v, Theta v>)) / 2`` (Hermitian product), largest
+    for the phase ``c = exp(i arg<v, Theta v> / 2)``, where it keeps at least
+    half of ``||v||^2``.  Its coordinates are ``Re(c S^H v)``.
+    """
+    v = np.asarray(v, dtype=complex)
+    c = np.exp(0.5j * np.angle(np.vdot(v, v[::-1].conj())))
+    return (c * _to_real_form(v)).real
+
+
+def _through_real_form(matrix):
+    """Operator ``u -> S^H M S u`` of a spin-z basis ``matrix`` (anything
+    ``complex_symmetric_lanczos`` accepts); real on real ``u`` when ``M``
+    commutes with ``Theta``, and its imaginary part is dropped there."""
+    apply = _resolve_apply(matrix)
+
+    def real_form_apply(u):
+        y = _to_real_form(apply(_from_real_form(u)))
+        return y.real if np.isrealobj(u) else y
+    return real_form_apply
+
+
 def build_hamiltonian(p: XxzParams, basis: M0Basis | None = None,
                       ) -> SparseComplexSymmetricMatrix:
     """Assemble the sector Hamiltonian as a complex symmetric CSR matrix.
@@ -184,14 +317,18 @@ def build_hamiltonian(p: XxzParams, basis: M0Basis | None = None,
     the ``SparseComplexSymmetricMatrix`` check.
     ``basis``, when given, must be the M=0 sector of ``p.L``.
     """
-    if basis is not None and basis.L != p.L:
-        raise ValueError(f"basis is for L={basis.L}, parameters for L={p.L}")
+    _check_basis(p, basis)
     pat = _sector_pattern(p.L)
     data = pat.data.copy()
     data[pat.diag_slots] = p.jz * pat.ising + 1j * p.gamma * pat.staggered
     n = len(pat.ising)
     H = sparse.csr_matrix((data, pat.indices, pat.indptr), shape=(n, n))
     return SparseComplexSymmetricMatrix._prechecked(H)
+
+
+def _check_basis(p: XxzParams, basis: M0Basis | None) -> None:
+    if basis is not None and basis.L != p.L:
+        raise ValueError(f"basis is for L={basis.L}, parameters for L={p.L}")
 
 
 def staggered_field_direction(basis: M0Basis) -> np.ndarray:
@@ -270,39 +407,55 @@ def ground_state(
     residual bound and ``DefectiveMatrixError`` on a defective ground pair;
     ``residual`` is that of the returned right vector, and the covector
     stays the plain transpose of it; it ignores ``v0``, ``seed`` and
-    ``max_iter``.  For ``method="lanczos"``, ``max_iter`` is the total
-    Krylov-step budget summed over all restarts of the solve.  The start
-    vector is random from ``seed``, or ``v0`` (for example the ground state
-    of nearby parameters) plus a random part of relative weight
-    ``START_NOISE`` from ``seed``, which keeps every symmetry block of the
-    sector in reach.  ``seed`` also seeds every reseed from a random
-    vector, after a breakdown or a cycle that ends with a worse residual
-    than it started from (see ``complex_symmetric_lanczos``).
-    ``matrix`` may be any operator of the sector's dimension; ``basis`` is
-    only checked against ``p.L`` when the matrix is built here.
+    ``max_iter``.
+
+    ``method="lanczos"`` solves the real form ``S^H H S`` of the sector
+    (see ``_RealPattern``) in real arithmetic and maps the solution ``u``
+    back to the spin-z basis as ``S u``, gauged; ``S`` is unitary, so
+    ``residual`` is ``||H x - E x||`` of the returned ``right``.
+    ``max_iter`` is the total Krylov-step budget summed over all restarts
+    of the solve.  The start vector is a real random vector from ``seed``,
+    or the largest ``Theta``-real part of ``v0`` (for example the ground
+    state of nearby parameters) plus a real random part of relative
+    weight ``START_NOISE`` from ``seed``, which keeps every symmetry block
+    of the sector in reach.  ``seed`` also seeds every reseed from a
+    random vector, after a breakdown or a cycle that ends with a worse
+    residual than it started from (see ``complex_symmetric_lanczos``).
+    A ``matrix`` given here is applied through ``S``, as
+    ``u -> S^H M S u``, so it must carry the sector's spin-flip PT symmetry
+    (commute with ``Theta = F K``); the imaginary part it gives a real
+    vector is dropped.  ``basis`` is only checked against ``p.L`` when the
+    matrix is built here.
     """
     dim = comb(p.L, p.L // 2)
     if matrix is None:
-        matrix = build_hamiltonian(p, basis)
+        _check_basis(p, basis)
     if tol_real is None:
         tol_real = 1e-10 * _norm_estimate(p)
 
     counts = {}
     if method == "lanczos":
         rng = np.random.default_rng(seed)
-        if v0 is not None:
-            noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            v0 = (v0 / np.linalg.norm(v0)
+        if v0 is None:
+            u0 = rng.standard_normal(dim)
+        else:
+            u0 = _theta_real_start(v0)
+            noise = rng.standard_normal(dim)
+            u0 = (u0 / np.linalg.norm(u0)
                   + START_NOISE * noise / np.linalg.norm(noise))
         res = complex_symmetric_lanczos(
-            matrix, dim, v0=v0, max_iter=max_iter,
-            tol_resid=tol_resid, rng=rng,
+            _real_hamiltonian(p) if matrix is None else _through_real_form(matrix),
+            dim, v0=u0, max_iter=max_iter, tol_resid=tol_resid, rng=rng,
         )
-        energy, right, residual = res.eigenvalue, res.vector, res.residual
+        right = _from_real_form(res.vector)
+        right /= gauge_factor(right)
+        energy, residual = res.eigenvalue, res.residual
         counts = dict(iterations=res.iterations, restarts=res.restarts,
                       matvecs=res.matvecs, extractions=res.extractions)
     elif method == "dense":
         _check_dense_cap(dim)
+        if matrix is None:
+            matrix = build_hamiltonian(p)
         w, g, right, _, residual = dense_ground_pair(matrix.to_dense())
         energy = complex(w[g])
     else:

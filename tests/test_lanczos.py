@@ -274,3 +274,36 @@ class TestPredictedExtractions:
         assert res.restarts >= 1
         # at least one extraction per cycle, and none without a Krylov step
         assert res.restarts + 1 <= res.extractions <= res.iterations
+
+
+class TestRealArithmetic:
+    """The iteration runs in the dtype of its start vector."""
+
+    def test_real_start_runs_real(self):
+        A = np.diag(np.arange(1.0, 41.0)) + 0.1 * np.ones((40, 40))
+        res = complex_symmetric_lanczos(A, 40, v0=np.ones(40))
+        assert np.isrealobj(res.vector)
+        assert abs(res.eigenvalue - np.linalg.eigvalsh(A)[0]) < 1e-12
+
+    def test_no_start_stays_complex(self):
+        A = np.diag(np.arange(1.0, 41.0)) + 0.1 * np.ones((40, 40))
+        res = complex_symmetric_lanczos(A, 40, rng=np.random.default_rng(0))
+        assert np.iscomplexobj(res.vector)
+        assert abs(res.eigenvalue - np.linalg.eigvalsh(A)[0]) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_nonsymmetric_operator(self, seed):
+        # a real matrix with complex pairs: the smallest-Re level is a
+        # conjugate pair, and the tie-break takes its +Im member
+        rng = np.random.default_rng(seed)
+        n = 120
+        A = rng.standard_normal((n, n)) / np.sqrt(n) + np.diag(np.linspace(0, 4, n))
+        w = np.linalg.eigvals(A)
+        ref = w[ground_state_index(w)]
+        res = complex_symmetric_lanczos(A, n, v0=rng.standard_normal(n),
+                                        max_iter=600, rng=rng)
+        assert abs(res.eigenvalue - ref) < 1e-9
+        assert res.residual <= 1e-10
+        x = res.vector
+        assert np.linalg.norm(A @ x - res.eigenvalue * x) == pytest.approx(
+            res.residual, rel=1e-6, abs=1e-14)

@@ -7,6 +7,10 @@ reproduce them byte for byte.  Regenerate them only for an intended and
 logged output change:
 
     PYTHONPATH=src python tests/test_sweep_golden.py
+
+Run it, like the tests, under the default BLAS thread count: the XXZ and
+``dense-file`` rows depend on it in their last digits, and with
+``OPENBLAS_NUM_THREADS=1`` those two cases do not match the stored files.
 """
 
 import io

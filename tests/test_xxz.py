@@ -27,6 +27,7 @@ from ptfidelity.sweep import Axis, SweepConfig, run_sweep, write_csv
 from ptfidelity.xxz import (
     XxzParams,
     _ground_state_pair,
+    _real_hamiltonian,
     _sector_pattern,
     build_hamiltonian,
     build_m0_basis,
@@ -510,3 +511,100 @@ class TestItpLocator:
             return g.left, g.right, g.pt_class
 
         assert one_half_ep_test(state_fn, lo, hi).n_crossings == 1
+
+
+def spin_flip_unitary(L):
+    """The unitary S of the real form, built from the configurations: one
+    column (e_r + e_Fr) / sqrt 2 per representative r (the smaller of a
+    configuration and its bit complement F r), then i (e_r - e_Fr) / sqrt 2."""
+    states = build_m0_basis(L).states
+    n = len(states)
+    flip = np.searchsorted(states, states ^ ((1 << L) - 1))
+    reps = np.flatnonzero(states < states[flip])
+    S = np.zeros((n, n), dtype=complex)
+    k = np.arange(len(reps))
+    S[reps, k] = S[flip[reps], k] = np.sqrt(0.5)
+    S[reps, k + n // 2] = 1j * np.sqrt(0.5)
+    S[flip[reps], k + n // 2] = -1j * np.sqrt(0.5)
+    return S
+
+
+# jz < 0, jz = 0, gamma = 0, and broken-phase gamma (the Jz=1 sector EP is
+# below gamma = 0.65 at every L >= 4)
+REAL_FORM_POINTS = [(-1.3, 0.4), (0.0, 1.3), (1.0, 0.0), (-2.0, 0.0), (1.0, 0.8)]
+
+
+class TestRealForm:
+    """Lanczos solves run on the real form S^H H S of the sector, which the
+    spin-flip PT symmetry Theta = F K makes real."""
+
+    @pytest.mark.parametrize("jz,gamma", REAL_FORM_POINTS)
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_assembled_real_form_is_the_rotated_sector(self, L, jz, gamma):
+        p = XxzParams(jz=jz, gamma=gamma, L=L)
+        H = build_hamiltonian(p).to_dense()
+        S = spin_flip_unitary(L)
+        np.testing.assert_allclose(S.conj().T @ S, np.eye(len(S)), atol=1e-15)
+        R = _real_hamiltonian(p)
+        assert R.dtype == np.float64
+        R = R.toarray()
+        assert np.abs(S.conj().T @ H @ S - R).max() <= 1e-13 * np.linalg.norm(H, 1)
+        J = np.diag(np.repeat([1.0, -1.0], len(R) // 2))
+        assert np.array_equal(J @ R, (J @ R).T)
+        if gamma:
+            assert not np.array_equal(R, R.T)
+
+    @pytest.mark.parametrize("jz,gamma", REAL_FORM_POINTS)
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_residual_is_that_of_the_returned_vector(self, L, jz, gamma):
+        p = XxzParams(jz=jz, gamma=gamma, L=L)
+        H = build_hamiltonian(p).to_dense()
+        g = ground_state(p, seed=L)
+        resid = np.linalg.norm(H @ g.right - g.energy * g.right)
+        assert resid == pytest.approx(g.residual, rel=1e-6,
+                                      abs=1e-14 * np.linalg.norm(H, 1))
+        assert g.residual <= 1e-10
+        assert abs(np.linalg.norm(g.right) - 1.0) < 1e-14
+        if (jz, gamma) == (1.0, 0.8):
+            assert g.pt_class == "broken"
+
+
+class TestThetaRealStart:
+    """A warm start keeps the largest Theta-real part of v0, whatever the
+    phase v0 comes with."""
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.3])       # unbroken, broken
+    def test_start_phase_does_not_matter(self, gamma):
+        p = XxzParams(jz=1.0, gamma=gamma, L=10)
+        x = ground_state(replace(p, gamma=gamma - 1e-3)).right
+        for seed in range(4):
+            cold = ground_state(p, seed=seed).iterations
+            solves = [ground_state(p, v0=c * x, seed=seed)
+                      for c in (1, -1, 1j, np.exp(1j * np.pi / 3))]
+            for g in solves:
+                assert abs(g.energy - solves[0].energy) < 1e-10
+                assert abs(g.iterations - solves[0].iterations) <= 3
+                assert g.iterations < cold
+
+
+class TestSolverHazards:
+    def test_cold_starts_find_the_ground_level(self):
+        # seed 1 once converged to an excited level here, after a restart
+        p = XxzParams(jz=-2.0, gamma=0.651, L=10)
+        dense = ground_state(p, method="dense")
+        for seed in range(8):
+            g = ground_state(p, seed=seed)
+            assert abs(g.energy - dense.energy) <= 1e-8, seed
+
+    def test_tied_real_levels_need_no_restart(self):
+        # many levels share the ground Re here; a three-term recurrence on
+        # the nonsymmetric real form lost them
+        pa = XxzParams(jz=0.0, gamma=1.700, L=10)
+        p = replace(pa, gamma=1.701)
+        dense = ground_state(p, method="dense")
+        for seed in range(6):
+            warm = ground_state(p, v0=ground_state(pa, seed=seed).right, seed=seed)
+            cold = ground_state(p, seed=seed)
+            for g in (warm, cold):
+                assert abs(g.energy - dense.energy) <= 1e-8, seed
+                assert g.restarts == 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eig
-from scipy.linalg.lapack import zgetrf, zgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
 from .errors import (
     DefectiveMatrixError,
@@ -137,6 +137,23 @@ def _defective(overlap: float, energy) -> DefectiveMatrixError:
     )
 
 
+def _shifted_lu(A, shift, pivot_floor):
+    """LU factors ``(lu, piv, getrs)`` of ``A - shift I`` for inverse
+    iteration, in real arithmetic when ``A`` and ``shift`` are both real.
+    Pivots below ``pivot_floor`` are raised to it, as LAPACK's inverse
+    iteration does, so an exactly singular shift still gives the
+    eigenvector."""
+    real = np.isrealobj(A) and np.imag(shift) == 0
+    dtype, getrf, getrs = ((float, dgetrf, dgetrs) if real
+                           else (complex, zgetrf, zgetrs))
+    shifted = np.array(A, dtype=dtype, order="F")
+    shifted.flat[::len(A) + 1] -= np.real(shift) if real else shift
+    lu, piv, _ = getrf(shifted, overwrite_a=True)
+    small = np.flatnonzero(np.abs(lu.diagonal()) < pivot_floor)
+    lu[small, small] = pivot_floor
+    return lu, piv, getrs
+
+
 def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float]:
     """Spectrum and biorthogonal ground-state pair of a dense matrix.
 
@@ -171,17 +188,13 @@ def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float
     g = ground_state_index(w)
     energy = w[g]
     norm1 = np.linalg.norm(H, 1)
-    shifted = H.copy()
-    shifted.flat[::len(H) + 1] -= energy
-    lu, piv, _ = zgetrf(shifted, overwrite_a=True)
     pivot_floor = np.finfo(float).eps * norm1 or 1.0      # H = 0: any vector
-    small = np.flatnonzero(np.abs(lu.diagonal()) < pivot_floor)
-    lu[small, small] = pivot_floor
+    lu, piv, getrs = _shifted_lu(H, energy, pivot_floor)
     right = left = np.random.default_rng(0).standard_normal(len(H)).astype(complex)
     for _ in range(3):
-        right = zgetrs(lu, piv, right)[0]
+        right = getrs(lu, piv, right)[0]
         right /= np.linalg.norm(right)
-        left = zgetrs(lu, piv, left, trans=1)[0]
+        left = getrs(lu, piv, left, trans=1)[0]
         left /= np.linalg.norm(left)
     right = right / gauge_factor(right)
     residual = float(np.linalg.norm(H @ right - energy * right))

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import VERSION
-from .errors import ConfigError, OddLError, PtfidelityError
+from .errors import ConfigError, OddLError, PtfidelityError, error_text
 from .fidelity import FIDELITY_TAGS, bisect_ep, one_half_ep_test
 from .ssh import (
     SshParams,
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except PtfidelityError as err:
-        print(f"runtime error: {type(err).__name__}: {err}", file=sys.stderr)
+        print(f"runtime error: {error_text(err)}", file=sys.stderr)
         return 3
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception types raised by the toolkit."""
+"""Exception types raised by the toolkit, and their in-band text."""
 
 
 class PtfidelityError(Exception):
@@ -81,3 +81,9 @@ class InsufficientSizesError(PtfidelityError):
 
 class ConfigError(PtfidelityError):
     """Invalid sweep configuration."""
+
+
+def error_text(err: Exception) -> str:
+    """Class name and message of ``err``, as sweep rows, scan records and
+    the CLI report a failure."""
+    return f"{type(err).__name__}: {err}"

@@ -39,9 +39,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
-from .biortho import gauge_factor, ground_state_index
+from .biortho import _shifted_lu, gauge_factor, ground_state_index
 from .errors import NoConvergenceError, QuasiNullBreakdownError
 
 # Krylov vectors kept per cycle: large enough that the sector ground states
@@ -75,14 +74,6 @@ class LanczosResult:
     extractions: int = 0        # projected eigensolves eigvals(T)
 
 
-def _resolve_apply(matrix):
-    if callable(matrix):
-        return matrix
-    if hasattr(matrix, "apply"):
-        return matrix.apply
-    return lambda v: matrix @ v
-
-
 def complex_symmetric_lanczos(
     matrix,
     dim: int,
@@ -103,7 +94,7 @@ def complex_symmetric_lanczos(
 
     Parameters
     ----------
-    matrix : callable, object with ``apply``, or anything supporting ``@``.
+    matrix : callable, or anything supporting ``@``.
     dim : vector dimension.
     v0 : optional seed vector with nonzero quasi-norm ``<v, v>``.  Its dtype
         sets the arithmetic: a real ``v0`` runs the iteration in real
@@ -142,7 +133,7 @@ def complex_symmetric_lanczos(
         progress, or if the smallest-Re Ritz pair has not met ``tol_resid``
         when the ``max_iter`` budget is spent.
     """
-    apply = _resolve_apply(matrix)
+    apply = matrix if callable(matrix) else matrix.__matmul__
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -200,22 +191,14 @@ def complex_symmetric_lanczos(
 def _ritz_vector(T, theta):
     """Unit eigenvector of the small matrix ``T`` for its eigenvalue ``theta``.
 
-    Two inverse-iteration solves with the LU factors of ``T - theta I``,
-    in real arithmetic when ``T`` and ``theta`` are both real.  Pivots
-    below ``eps * max |T|`` are raised to it, as LAPACK's inverse
-    iteration does, so an exactly singular shift (``T - theta I = 0`` for a
-    1x1 invariant subspace) still gives the eigenvector.
+    Two inverse-iteration solves from a vector of ones with the LU factors
+    of ``T - theta I`` (``_shifted_lu``), whose pivots are floored at
+    ``eps * max |T|``, so an exactly singular shift (``T - theta I = 0`` for
+    a 1x1 invariant subspace) still gives the eigenvector.
     """
-    real = np.isrealobj(T) and np.imag(theta) == 0
-    dtype, getrf, getrs = ((float, dgetrf, dgetrs) if real
-                           else (complex, zgetrf, zgetrs))
-    pivot_floor = max(np.finfo(float).eps * np.abs(T).max(), np.finfo(float).tiny)
-    shifted = np.array(T, dtype=dtype, order="F")
-    shifted.flat[::len(T) + 1] -= np.real(theta) if real else theta
-    lu, piv, _ = getrf(shifted, overwrite_a=True)
-    small = np.flatnonzero(np.abs(lu.diagonal()) < pivot_floor)
-    lu[small, small] = pivot_floor
-    y = np.ones(len(T), dtype=dtype)
+    lu, piv, getrs = _shifted_lu(
+        T, theta, max(np.finfo(float).eps * np.abs(T).max(), np.finfo(float).tiny))
+    y = np.ones(len(T), dtype=lu.dtype)
     for _ in range(2):
         y, _ = getrs(lu, piv, y, overwrite_b=True)
         y /= np.linalg.norm(y)

@@ -34,7 +34,7 @@ import scipy
 
 from ._version import VERSION as _version
 from .biortho import classify_pt, dense_ground_pair
-from .errors import ConfigError, PtfidelityError
+from .errors import ConfigError, PtfidelityError, error_text
 from .fidelity import (
     DEFAULT_EPSILON,
     FIDELITY_TAGS,
@@ -289,10 +289,6 @@ def _point_seed(base: int, linear_index: int) -> int:
     return int(np.random.SeedSequence([base, linear_index]).generate_state(1)[0])
 
 
-def _error_text(err: Exception) -> str:
-    return f"{type(err).__name__}: {err}"
-
-
 class _Evaluator:
     """Fidelity between the ground states at a grid point and at the same
     point shifted by ``epsilon`` along the scan axis, evaluated one scan
@@ -316,7 +312,7 @@ class _Evaluator:
             try:
                 start = self(point, start)
             except Exception as err:  # keep the sweep alive; record in-band
-                point.error = _error_text(err)
+                point.error = error_text(err)
                 start = None
 
     def _shifted(self, point: PointResult) -> dict[str, float]:
@@ -360,7 +356,7 @@ class _SshEvaluator(_Evaluator):
                 rows.append((point, self._params(point.axis_values),
                              self._params(self._shifted(point))))
             except Exception as err:  # e.g. a negative u: this point only
-                point.error = _error_text(err)
+                point.error = error_text(err)
         if not rows:        # SshParams refused them all (an L below 2, say)
             return
         size = max(1, LINE_BLOCK_CELLS // self.L)
@@ -376,7 +372,7 @@ class _SshEvaluator(_Evaluator):
             if err is None:
                 regular.append(i)
             else:
-                points[i].error = _error_text(err)
+                points[i].error = error_text(err)
         if not regular:
             return
         if len(regular) < len(points):

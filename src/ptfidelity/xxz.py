@@ -17,13 +17,12 @@ equivalent to a real sparse matrix, its real form (``_RealPattern``), and
 the Lanczos ground state is solved there in real arithmetic.  Its start
 vector is the largest ``Theta``-real part of a given vector plus real
 noise, or a real random vector, and the solution is mapped back to the
-spin-z basis.  An operator passed to ``ground_state`` is applied through the
-same unitary, so it must commute with ``Theta`` too.
+spin-z basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -41,9 +40,10 @@ from .errors import (
     DimTooLargeError,
     InsufficientSizesError,
     OddLError,
+    error_text,
 )
 from .fidelity import DEFAULT_EPSILON, FidelityRecord, chi_finite_difference, fidelity_variant
-from .lanczos import _resolve_apply, complex_symmetric_lanczos
+from .lanczos import complex_symmetric_lanczos
 
 LANCZOS_BASIS_CAP = comb(28, 14)       # ~4.0e7 configurations
 DENSE_SECTOR_CAP = 5000
@@ -294,18 +294,6 @@ def _theta_real_start(v: np.ndarray) -> np.ndarray:
     return (c * _to_real_form(v)).real
 
 
-def _through_real_form(matrix):
-    """Operator ``u -> S^H M S u`` of a spin-z basis ``matrix`` (anything
-    ``complex_symmetric_lanczos`` accepts); real on real ``u`` when ``M``
-    commutes with ``Theta``, and its imaginary part is dropped there."""
-    apply = _resolve_apply(matrix)
-
-    def real_form_apply(u):
-        y = _to_real_form(apply(_from_real_form(u)))
-        return y.real if np.isrealobj(u) else y
-    return real_form_apply
-
-
 def build_hamiltonian(p: XxzParams, basis: M0Basis | None = None,
                       ) -> SparseComplexSymmetricMatrix:
     """Assemble the sector Hamiltonian as a complex symmetric CSR matrix.
@@ -389,7 +377,6 @@ def ground_state(
     *,
     method: str = "lanczos",
     basis: M0Basis | None = None,
-    matrix: SparseComplexSymmetricMatrix | None = None,
     v0: np.ndarray | None = None,
     seed: int = 0,
     max_iter: int = 600,
@@ -421,15 +408,10 @@ def ground_state(
     of the sector in reach.  ``seed`` also seeds every reseed from a
     random vector, after a breakdown or a cycle that ends with a worse
     residual than it started from (see ``complex_symmetric_lanczos``).
-    A ``matrix`` given here is applied through ``S``, as
-    ``u -> S^H M S u``, so it must carry the sector's spin-flip PT symmetry
-    (commute with ``Theta = F K``); the imaginary part it gives a real
-    vector is dropped.  ``basis`` is only checked against ``p.L`` when the
-    matrix is built here.
+    ``basis`` is only checked against ``p.L``.
     """
     dim = comb(p.L, p.L // 2)
-    if matrix is None:
-        _check_basis(p, basis)
+    _check_basis(p, basis)
     if tol_real is None:
         tol_real = 1e-10 * _norm_estimate(p)
 
@@ -444,8 +426,8 @@ def ground_state(
             u0 = (u0 / np.linalg.norm(u0)
                   + START_NOISE * noise / np.linalg.norm(noise))
         res = complex_symmetric_lanczos(
-            _real_hamiltonian(p) if matrix is None else _through_real_form(matrix),
-            dim, v0=u0, max_iter=max_iter, tol_resid=tol_resid, rng=rng,
+            _real_hamiltonian(p), dim, v0=u0, max_iter=max_iter,
+            tol_resid=tol_resid, rng=rng,
         )
         right = _from_real_form(res.vector)
         right /= gauge_factor(right)
@@ -454,9 +436,7 @@ def ground_state(
                       matvecs=res.matvecs, extractions=res.extractions)
     elif method == "dense":
         _check_dense_cap(dim)
-        if matrix is None:
-            matrix = build_hamiltonian(p)
-        w, g, right, _, residual = dense_ground_pair(matrix.to_dense())
+        w, g, right, _, residual = dense_ground_pair(build_hamiltonian(p).to_dense())
         energy = complex(w[g])
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -551,7 +531,7 @@ def fidelity_scan(
         except Exception as err:
             if on_error == "raise":
                 raise
-            record.error = f"{type(err).__name__}: {err}"
+            record.error = error_text(err)
             start = None
         records.append(record)
     return records

@@ -609,6 +609,24 @@ class TestPointObservability:
             del d["matvecs"]
         assert all(p.matvecs == 0 for p in result_from_dict(data).points)
 
+    def test_failure_text_is_class_and_message(self, monkeypatch):
+        from ptfidelity import NoConvergenceError, xxz
+
+        grid, solve = np.linspace(0.0, 0.4, 5), xxz.ground_state
+
+        def failing(p, **kwargs):
+            if p.gamma == grid[2]:
+                raise NoConvergenceError("injected")
+            return solve(p, **kwargs)
+
+        monkeypatch.setattr(xxz, "ground_state", failing)
+        cfg = SweepConfig(model="xxz", axes=[Axis("gamma", 0.0, 0.4, 5)],
+                          fixed={"jz": 1.0}, sizes=[6], seed=4)
+        recs = xxz.fidelity_scan(xxz.XxzParams(jz=1.0, gamma=0.0, L=6), "gamma",
+                                 grid, on_error="record")
+        expected = "NoConvergenceError: injected"
+        assert run_sweep(cfg).points[2].error == recs[2].error == expected
+
     def test_closed_form_points_count_no_matvecs(self):
         result = run_sweep(parse_config(SSH_CONFIG))
         assert all(p.matvecs == 0 for p in result.points)

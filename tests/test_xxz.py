@@ -325,16 +325,21 @@ class TestFidelityScan:
 class TestWarmStartedPair:
     """The solve at ``lam + epsilon`` starts from the ground state at ``lam``."""
 
-    def test_solver_counters(self):
+    def test_solver_counters(self, monkeypatch):
         pa, pb = XxzParams(jz=1.0, gamma=0.2, L=10), XxzParams(jz=1.0, gamma=0.201, L=10)
         ga, gb, _ = _ground_state_pair(pa, pb, 0, 1, "metricized")
-        H, calls = build_hamiltonian(pb), [0]
+        calls = [0]
 
-        def counting(v):
-            calls[0] += 1
-            return H.apply(v)
+        def counting_real_form(p):
+            H = _real_hamiltonian(p)
 
-        warm = ground_state(pb, matrix=counting, v0=ga.right, seed=1)
+            def counting(u):
+                calls[0] += 1
+                return H @ u
+            return counting
+
+        monkeypatch.setattr("ptfidelity.xxz._real_hamiltonian", counting_real_form)
+        warm = ground_state(pb, v0=ga.right, seed=1)
         assert warm.matvecs == gb.matvecs == calls[0]
         cold = ground_state(pb, seed=1)
         assert 0 < gb.iterations < gb.matvecs < cold.matvecs

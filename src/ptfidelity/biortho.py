@@ -47,8 +47,11 @@ EP_GUARD = 1e-12
 DENSE_DIM_CAP = 20000
 
 
-def _as_square_complex(H) -> np.ndarray:
-    H = np.asarray(H, dtype=complex)
+def _as_square(H) -> np.ndarray:
+    """``H`` as a square array, real if ``H`` is real and complex otherwise;
+    checked finite and nonempty."""
+    H = np.asarray(H)
+    H = H.astype(float if np.isrealobj(H) else complex, copy=False)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if H.shape[0] < 1:
@@ -105,12 +108,16 @@ class BiorthogonalEigensystem:
 
 def ground_state_index(eigenvalues: np.ndarray) -> int:
     """Smallest-Re eigenvalue index, ties resolved toward largest Im; real
-    parts within ``1e-8`` times the spectral radius (at least 1) count as
-    tied."""
+    parts within ``re_tie_tolerance`` of the smallest count as tied."""
     w = np.asarray(eigenvalues)
-    re_tie_tol = 1e-8 * max(1.0, float(np.abs(w).max()))
-    tied = np.nonzero(w.real <= w.real.min() + re_tie_tol)[0]
+    tied = np.nonzero(w.real <= w.real.min() + re_tie_tolerance(w))[0]
     return int(tied[np.argmax(w.imag[tied])])
+
+
+def re_tie_tolerance(eigenvalues: np.ndarray) -> float:
+    """``1e-8`` times the spectral radius of ``eigenvalues``, at least
+    ``1e-8``: the real-part tie tolerance of ``ground_state_index``."""
+    return 1e-8 * max(1.0, float(np.abs(eigenvalues).max()))
 
 
 def gauge_factor(v: np.ndarray):
@@ -165,7 +172,8 @@ def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float
     inverse iteration does, so an exactly singular shift (a triangular or
     zero ``H``) still gives the eigenvectors.  The right vector carries the
     ``gauge_factor`` convention and the covector is scaled so that
-    ``left @ right == 1``.
+    ``left @ right == 1``.  A real ``H`` stays real: its eigenvalues come
+    from the real LAPACK solver, and its LU and vectors are real when E is.
 
     Returns
     -------
@@ -183,14 +191,14 @@ def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float
         ``OVERLAP_FLOOR``: the ground pair is at, or numerically at, an
         exceptional point.  No other eigenpair is checked.
     """
-    H = _as_square_complex(H)
+    H = _as_square(H)
     w = dense_full_spectrum(H)
     g = ground_state_index(w)
     energy = w[g]
     norm1 = np.linalg.norm(H, 1)
     pivot_floor = np.finfo(float).eps * norm1 or 1.0      # H = 0: any vector
     lu, piv, getrs = _shifted_lu(H, energy, pivot_floor)
-    right = left = np.random.default_rng(0).standard_normal(len(H)).astype(complex)
+    right = left = np.random.default_rng(0).standard_normal(len(H)).astype(lu.dtype)
     for _ in range(3):
         right = getrs(lu, piv, right)[0]
         right /= np.linalg.norm(right)
@@ -231,7 +239,7 @@ def biorthogonal_eig(H) -> BiorthogonalEigensystem:
         ``OVERLAP_FLOOR``: the matrix is at, or numerically at, an
         exceptional point.
     """
-    H = _as_square_complex(H)
+    H = _as_square(H).astype(complex, copy=False)
     w, left, right = eig(H, left=True, check_finite=False)
 
     order = np.lexsort((w.imag, w.real))
@@ -374,13 +382,14 @@ def metric_operator(es: BiorthogonalEigensystem) -> np.ndarray:
 
 
 def dense_full_spectrum(H, *, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    """All eigenvalues of a dense matrix, sorted by (Re, Im) ascending."""
-    H = _as_square_complex(H)
+    """All eigenvalues of a dense matrix, sorted by (Re, Im) ascending; a
+    real matrix stays real, so LAPACK's real solver runs."""
+    H = _as_square(H)
     if H.shape[0] > dim_cap:
         raise DimTooLargeError(
             f"dimension {H.shape[0]} exceeds dense guard {dim_cap}"
         )
-    w = np.linalg.eigvals(H)
+    w = np.linalg.eigvals(H).astype(complex, copy=False)
     return w[np.lexsort((w.imag, w.real))]
 
 

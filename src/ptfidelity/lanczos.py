@@ -24,9 +24,11 @@ Ritz residual estimate ``||w|| |y_m|`` (Parlett, *The Symmetric Eigenvalue
 Problem*), and the next extraction is placed where that estimate, decaying
 geometrically at the rate it showed since the previous extraction (or since
 the start vector's own residual), reaches the tolerance: at least 1 and at
-most ``2 * RITZ_INTERVAL`` steps ahead, or ``RITZ_INTERVAL`` ahead if it
-did not fall.  The true residual is computed only where the estimate has
-met the tolerance, and at the end of a cycle.  A cycle keeps at most
+most ``2 * RITZ_INTERVAL`` steps ahead (for a matrix of dimension below
+``KRYLOV_CAP``, at most a quarter of the cycle's room, but at least
+``RITZ_INTERVAL``), or ``RITZ_INTERVAL`` ahead if it did not fall.  The
+true residual is computed only where the estimate has met the tolerance,
+and at the end of a cycle.  A cycle keeps at most
 ``KRYLOV_CAP`` Krylov vectors (memory ``KRYLOV_CAP + 1`` vectors of the
 matrix dimension) and restarts when it reaches that size or when the true
 residual stops halving between two checks: from its best Ritz vector (its
@@ -49,10 +51,12 @@ from .errors import NoConvergenceError, QuasiNullBreakdownError
 # next to a sparse matvec.  eigvals of a real T takes 25 us at m=10, 73 us
 # at m=20, 165 us at m=30, 0.30 ms at m=40 and 2.1-2.5 ms at m=80; of a
 # complex T 53 us, 0.21 ms, 0.52 ms, 0.95 ms and 5.9 ms (2.2-3.2x the real
-# one).  The Ritz vector takes 30-80 us up to m=40, while one L=10 sector
-# matvec takes 5 us in the real form and 6 us complex (one core of a shared
-# 2-vCPU Xeon host, OpenBLAS on one thread).  For small sectors the
-# extractions, not the matvecs, set the cost of a solve
+# one).  The Ritz vector takes 30-80 us up to m=40, while one matvec takes
+# 6.3 us in the 52-dim L=10 K=0 block, 7.3 us in the 160-dim L=12 one and
+# 5.8 us in the real form of the whole 252-dim L=10 sector, nearly all of it
+# scipy's dispatch (one core of a shared 2-vCPU Xeon host, OpenBLAS on one
+# thread).  For small blocks the extractions, not the matvecs, set the cost
+# of a solve
 KRYLOV_CAP = 80
 # Krylov steps to the first Ritz extraction of a cycle; later extractions
 # are placed by the Ritz estimate, at most twice this far apart
@@ -193,30 +197,36 @@ def _ritz_vector(T, theta):
 
     Two inverse-iteration solves from a vector of ones with the LU factors
     of ``T - theta I`` (``_shifted_lu``), whose pivots are floored at
-    ``eps * max |T|``, so an exactly singular shift (``T - theta I = 0`` for
-    a 1x1 invariant subspace) still gives the eigenvector.
+    ``eps * max |T|`` (1 for ``T = 0``), so an exactly singular shift
+    (``T - theta I = 0`` for a 1x1 invariant subspace) still gives the
+    eigenvector.  The iterate with the smaller ``||T y - theta y||`` is
+    returned: next to an exceptional point the second solve can undo the
+    first (3e-14, then 5e-8, for a pair split by 3e-7 in a 20-dim L=8
+    block).
     """
-    lu, piv, getrs = _shifted_lu(
-        T, theta, max(np.finfo(float).eps * np.abs(T).max(), np.finfo(float).tiny))
+    lu, piv, getrs = _shifted_lu(T, theta, np.finfo(float).eps * np.abs(T).max() or 1.0)
     y = np.ones(len(T), dtype=lu.dtype)
+    best = best_resid = None
     for _ in range(2):
         y, _ = getrs(lu, piv, y, overwrite_b=True)
         y /= np.linalg.norm(y)
-    return y
+        resid = np.linalg.norm(T @ y - theta * y)
+        if best is None or resid < best_resid:
+            best, best_resid = y.copy(), resid
+    return best
 
 
-def _steps_ahead(estimate, previous, steps, tol_resid):
+def _steps_ahead(estimate, previous, steps, tol_resid, longest):
     """Krylov steps until the Ritz estimate reaches ``tol_resid``, if it keeps
     the geometric decay it showed from ``previous`` over the last ``steps``
     steps; ``RITZ_INTERVAL`` if it did not fall.  Clipped to
-    [1, 2 * RITZ_INTERVAL]."""
+    [1, longest]."""
     if not estimate < previous:                 # also NaN
         return RITZ_INTERVAL
     if estimate <= tol_resid:
         return 1
     rate = np.log(estimate / previous) / steps  # < 0
-    return int(min(max(np.ceil(np.log(tol_resid / estimate) / rate), 1),
-                   2 * RITZ_INTERVAL))
+    return int(min(max(np.ceil(np.log(tol_resid / estimate) / rate), 1), longest))
 
 
 def _cycle(apply, seed, basis, T, budget, tol_resid):
@@ -233,6 +243,9 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
     if abs(q0) < BREAKDOWN_GUARD * max(np.linalg.norm(seed) ** 2, 1e-300):
         return "quasi-null", 0, 0, 0, None, start_resid
     m_cap = T.shape[0]
+    # the decay of the estimate speeds up as the Krylov space fills a small
+    # matrix, so no jump is longer than a quarter of the cycle's room
+    longest = min(2 * RITZ_INTERVAL, max(RITZ_INTERVAL, m_cap // 4))
     basis[0] = seed / np.sqrt(q0)
     T[:] = 0.0
     t_max = 0.0                     # running max of |alpha|, |beta|
@@ -286,7 +299,7 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
                     return kind, *counts, result, start_resid
                 best = result
             next_m = m + _steps_ahead(estimate, prev_estimate, m - prev_m,
-                                      tol_resid)
+                                      tol_resid, longest)
             prev_m, prev_estimate = m, estimate
 
         q = np.dot(w, w)

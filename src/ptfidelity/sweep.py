@@ -441,9 +441,10 @@ _EVALUATORS = {"ssh": _SshEvaluator, "xxz": _XxzEvaluator,
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate a sweep configuration into a structured result.
 
-    Scan lines are computed in parallel over ``cfg.threads`` workers, each
-    line by its evaluator's ``walk``: point by point in grid order, each
-    starting from what the previous point returned, or stacked for SSH.
+    Scan lines are computed in parallel over ``cfg.threads`` workers, at
+    most one per line and serially without a second, each line by its
+    evaluator's ``walk``: point by point in grid order, each starting from
+    what the previous point returned, or stacked for SSH.
     Output ordering, seeds, and therefore every emitted value are
     independent of the thread count.
     """
@@ -469,11 +470,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                                             L=evaluators[L].L))
     points = [point for _, line in lines for point in line]
 
-    if cfg.threads == 1:
+    workers = min(cfg.threads, len(lines))
+    if workers <= 1:
         for evaluator, line in lines:
             evaluator.walk(line)
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda job: job[0].walk(job[1]), lines))
 
     for point in points:

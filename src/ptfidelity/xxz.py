@@ -12,28 +12,51 @@ transpose of the right vector.
 The model is PT-symmetric: with ``F`` the global spin flip and ``K``
 complex conjugation, ``Theta = F K`` (``Theta^2 = 1``) commutes with every
 sector matrix, because ``F`` keeps the exchange and Ising terms and
-reverses the staggered field.  So every sector matrix is unitarily
-equivalent to a real sparse matrix, its real form (``_RealPattern``), and
-the Lanczos ground state is solved there in real arithmetic.  Its start
-vector is the largest ``Theta``-real part of a given vector plus real
+reverses the staggered field.  The staggered field also keeps the two-site
+translation ``T2``, so the sector splits into momentum blocks: block ``q``
+joins the ``T2`` momenta ``K = +-2 pi q / (L/2)``, ``q = 0 ... L // 4``.
+``F`` commutes with ``T2`` and ``K`` maps ``K`` to ``-K``, so ``Theta``
+maps every block onto itself, and every block has a ``Theta``-real
+orthonormal basis in which its matrix is real: its real form
+(``_Block``).  The basis pairs the real and imaginary parts of the
+momentum-``K`` orbit states with their spin flips, one pair of basis
+vectors per orbit vector; an orbit that ``F`` maps onto itself (at L=12,
+``F r = T2^3 r`` for ``r = 000000111111``) gives one basis vector, not a
+pair.
+
+Ground states are solved block by block, in real arithmetic.  A block's
+real form at ``gamma = 0`` is the symmetric part of its real form at every
+``gamma``, so its smallest eigenvalue ``f_q`` bounds ``Re E`` of every
+level of the block from below (Bendixson).  Blocks are solved in
+ascending order of ``f_q`` until the next bound lies above the lowest
+``Re E`` found, and the selection rule runs over the blocks solved.
+``f_q`` is computed once per ``(L, q, jz)`` and reused at another ``jz``
+through Weyl's inequality ``f_q(jz) >= f_q(a) - L |jz - a|``, as the Ising
+diagonal is at most ``L`` in size.  A Lanczos start vector is the largest
+``Theta``-real part of a given vector's component in the block plus real
 noise, or a real random vector, and the solution is mapped back to the
 spin-z basis.
 """
 
 from __future__ import annotations
 
+import heapq
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import eigh
 
 from .biortho import (
     SparseComplexSymmetricMatrix,
     dense_full_spectrum,
     dense_ground_pair,
     gauge_factor,
+    ground_state_index,
+    re_tie_tolerance,
 )
 from .errors import (
     BasisCapExceededError,
@@ -43,22 +66,23 @@ from .errors import (
     error_text,
 )
 from .fidelity import DEFAULT_EPSILON, FidelityRecord, chi_finite_difference, fidelity_variant
-from .lanczos import complex_symmetric_lanczos
+from .lanczos import LanczosResult, complex_symmetric_lanczos
 
 LANCZOS_BASIS_CAP = comb(28, 14)       # ~4.0e7 configurations
 DENSE_SECTOR_CAP = 5000
 # relative weight of the random part added to a given Lanczos start vector.
-# A start vector inside one symmetry block of the sector never leaves it and
-# misses a level of another block that has crossed below.  With this part,
-# such a level is missed only within about tol_resid * sqrt(dim) /
-# START_NOISE (2e-5 at L=10) of the crossing.  The part is real, like the
-# real form it starts, and it costs Krylov steps: the 200 solves of four
-# warm 25-point L=10, Jz=1 lines on gamma in [0, 0.4] take 5629 steps at
-# 1e-4, 4581 at 1e-6 and 3408 without it (5899, 5145 and 3936 in complex
-# arithmetic), so two fifths of their steps bring the other blocks' levels
-# back in
+# A start vector inside one symmetry sector of a momentum block never
+# leaves it and misses a level of another sector that has crossed below:
+# the one-site translation times the spin flip, T1 P, and the site
+# reflection j -> -j both commute with H and split the K=0 block further
+# (26/4/6/16 at L=10, 62/20/28/50 at L=12).  With this part, such a level
+# is missed only within about tol_resid * sqrt(dim) / START_NOISE (7e-6 in
+# the 52-dim L=10 K=0 block) of the crossing.  The part is real and drawn
+# inside the solved block, and it costs Krylov steps: the 200 solves of four
+# warm 25-point L=10, Jz=1 lines on gamma in [0, 0.4], all in the K=0
+# block, take 4478 steps at 1e-4, 3928 at 1e-6 and 3362 without it (5629,
+# 4581 and 3408 in the real form of the whole sector)
 START_NOISE = 1e-4
-_SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -188,110 +212,201 @@ def _sector_pattern(L: int) -> _SectorPattern:
     return out
 
 
+@lru_cache(maxsize=4)
+def _t2_orbits(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the ``L``-site sector under the two-site translation ``T2``.
+
+    Per configuration ``s`` (by index): the index of its orbit's
+    representative ``r`` (the orbit's smallest configuration), the orbit's
+    period ``P`` and the ``d`` in ``[0, P)`` with ``s = T2^d r``; and per
+    block ``q`` its dimension.  An orbit of period ``P`` carries the momenta
+    ``K = 2 pi k / (L/2)`` with ``k P`` a multiple of ``L/2``, one state
+    each, so the block dimensions add up to the sector dimension; that is
+    checked here, once per ``L``.
+    """
+    states = build_m0_basis(L).states
+    cells, mask = L // 2, (1 << L) - 1
+    rep, period = states.copy(), np.full(len(states), cells)
+    to_rep = np.zeros(len(states), dtype=int)   # smallest j with T2^j s = r
+    moved = states
+    for j in range(1, cells):
+        moved = ((moved << 2) | (moved >> (L - 2))) & mask   # T2^j s
+        smaller = moved < rep
+        rep[smaller], to_rep[smaller] = moved[smaller], j
+        period[(moved == states) & (period == cells)] = j
+    shift = -to_rep % period
+    orbits = period[rep == states]
+    dims = np.array([np.sum(q * orbits % cells == 0) * (1 if 2 * q % cells == 0 else 2)
+                     for q in range(cells // 2 + 1)])
+    if dims.sum() != len(states):
+        raise ValueError(f"block dimensions {dims} of L={L} do not add up "
+                         f"to the sector dimension {len(states)}")
+    out = np.searchsorted(states, rep), period, shift, dims
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
-class _RealPattern:
-    """Parameter-free pieces of the real form of the ``L``-site sector
-    matrix, all read-only.
+class _Block:
+    """The real form of block ``q`` of the ``L``-site sector, all read-only.
 
-    The spin flip ``F`` maps the configuration of index ``i`` to its bit
-    complement, of index ``n - 1 - i`` (complement reverses the ascending
-    order); no configuration is its own complement.  With representatives
-    ``r < n/2`` and the unitary ``S`` of columns ``(e_r + e_Fr) / sqrt 2``,
-    then ``i (e_r - e_Fr) / sqrt 2``, the sector matrix ``H`` becomes
+    ``basis`` holds the block's ``Theta``-real orthonormal basis as sparse
+    sector columns: ``(a + F a) / sqrt 2`` and ``i (a - F a) / sqrt 2`` for
+    each real orbit vector ``a`` (see ``_orbit_vectors``) whose orbit ``F``
+    moves to another, and ``a`` or ``i a`` (as ``F a = a`` or ``-a``) for
+    one that ``F`` maps onto itself.  The first ``n_plus`` columns are real
+    and ``F``-even, the rest imaginary and ``F``-odd, so the block matrix
+    ``basis^H H basis`` is
 
-        S^H H S = [[X+ + jz I, -gamma D], [gamma D, X- + jz I]]
+        [[X+ + jz I+, -gamma D], [gamma D^T, X- + jz I-]]
 
-    with ``(X+-)_rs = H_xx[r, s] +- H_xx[r, F s]`` from the exchange ``H_xx``,
-    and ``I`` and ``D`` the Ising and staggered diagonals on the
-    representatives.  It is real, and ``J``-symmetric for ``J = diag(1, -1)``
-    (blocks), but not symmetric.  ``exchange``, ``ising`` and ``staggered``
-    are aligned data arrays on one CSR pattern; the real form at
-    ``(jz, gamma)`` has data ``exchange + jz * ising + gamma * staggered``.
+    real, with ``X`` symmetric and ``I`` the Ising diagonal: ``J``-symmetric
+    for ``J = diag(1, -1)`` (split at ``n_plus``), and not symmetric.
+    ``exchange``, ``ising`` and ``staggered`` are its aligned data arrays on
+    one CSR pattern; the form at ``(jz, gamma)`` has data
+    ``exchange + jz * ising + gamma * staggered``.
     """
 
+    q: int
+    basis: sparse.csr_matrix
+    basis_h: sparse.csr_matrix
+    n_plus: int
     indices: np.ndarray
     indptr: np.ndarray
     exchange: np.ndarray
     ising: np.ndarray
     staggered: np.ndarray
 
+    @property
+    def dim(self) -> int:
+        return len(self.indptr) - 1
 
-@lru_cache(maxsize=4)
-def _real_pattern(L: int) -> _RealPattern:
-    """The read-only ``_RealPattern`` of ``L`` sites, folded once per ``L``
-    from the representative rows of ``_sector_pattern``."""
+    def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix((data, self.indices, self.indptr),
+                                 shape=(self.dim, self.dim))
+
+
+# entries below this size in a block's basis or real form are rounding
+# residue of exact zeros (cos(pi/2), cancelling orbit sums); the others
+# are sums of a few terms of size at least 1/L
+_ROUNDING = 1e-12
+
+
+def _orbit_vectors(L: int, q: int, lead: np.ndarray) -> list[np.ndarray]:
+    """Real orbit vectors of block ``q`` on the ``lead`` orbits, entries per
+    configuration ``s = T2^d r``: ``cos(K d) / sqrt P`` (a sign) for
+    ``K = 0`` and ``pi``, else ``sqrt(2 / P) cos(K d)`` and
+    ``sqrt(2 / P) sin(K d)``, the real and imaginary parts of the
+    normalized momentum-``K`` orbit state ``sum_d exp(-i K d) T2^d r``."""
+    _, period, shift, _ = _t2_orbits(L)
+    cells = L // 2
+    if 2 * q % cells == 0:
+        return [np.where(lead, (-1.0) ** (2 * q * shift // cells) / np.sqrt(period), 0.0)]
+    angle = 2 * np.pi * q * shift / cells
+    return [np.where(lead & (abs(part) >= _ROUNDING), np.sqrt(2.0 / period) * part, 0.0)
+            for part in (np.cos(angle), np.sin(angle))]
+
+
+def _columns(entries, offset: int):
+    """Columns, rows and values of sparse entries given as (vector key,
+    row, value) arrays, one column per key in key order from ``offset``,
+    and the number of columns."""
+    key, row, value = (np.concatenate(x) for x in zip(*entries))
+    keys, col = np.unique(key, return_inverse=True)
+    return col + offset, row, value, len(keys)
+
+
+@lru_cache(maxsize=16)
+def _block(L: int, q: int) -> _Block:
+    """The read-only ``_Block`` of momenta ``K = +-2 pi q / (L/2)``, built
+    once per ``(L, q)``.  Construction raises ``ValueError`` unless the
+    basis has the block's dimension and the rotated exchange, Ising and
+    staggered matrices are real."""
+    rep, period, _, dims = _t2_orbits(L)
+    n = len(rep)
+    flip = np.arange(n)[::-1]                   # index of F s
+    # one orbit of each F pair carries the block's orbit vectors
+    lead = (q * period % (L // 2) == 0) & (rep <= rep[flip])
+    rows = np.flatnonzero(lead)
+    moved = rep[rows] != rep[flip[rows]]
+    orbit = np.unique(rep[rows], return_inverse=True)[1]
+    vectors = _orbit_vectors(L, q, lead)
+    plus, minus = [], []
+    for kind, a in enumerate(vectors):
+        key = orbit * len(vectors) + kind
+        v = a[rows]
+        # <a, F a>: +-1 on an orbit F maps onto itself, 0 on one it moves
+        even = (np.bincount(key, v * a[flip[rows]]) > 0)[key]
+        m, e, o = moved, ~moved & even, ~moved & ~even
+        h = np.sqrt(0.5) * v[m]
+        plus += [(key[m], rows[m], h), (key[m], flip[rows[m]], h),
+                 (key[e], rows[e], v[e])]
+        minus += [(key[m], rows[m], h), (key[m], flip[rows[m]], -h),
+                  (key[o], rows[o], v[o])]
+    cp, rp, vp, n_plus = _columns(plus, 0)
+    cm, rm, vm, n_minus = _columns(minus, n_plus)
+    dim = int(dims[q])
+    if n_plus + n_minus != dim:
+        raise ValueError(f"block {q} of L={L} has {n_plus + n_minus} basis "
+                         f"vectors, not {dim}")
+    basis = sparse.csr_matrix(
+        (np.concatenate([vp, 1j * vm]), (np.concatenate([rp, rm]), np.concatenate([cp, cm]))),
+        shape=(n, dim))
+    basis_h = basis.conj().T.tocsr()
+
     pat = _sector_pattern(L)
-    n = len(pat.ising)
-    h = n // 2
-    # representative rows of H_xx (diagonal slots included, as zeros), each
-    # column folded onto its representative, with the sign it has in X-
-    end = pat.indptr[h]
-    rows = np.repeat(np.arange(h), np.diff(pat.indptr[:h + 1]))
-    cols = pat.indices[:end]
-    hops = pat.data[:end].real
-    flipped = cols >= h
-    folded = np.where(flipped, n - 1 - cols, cols)
-    cells, slot = np.unique(rows * h + folded, return_inverse=True)
-    x_plus = np.bincount(slot, hops, len(cells))
-    x_minus = np.bincount(slot, np.where(flipped, -hops, hops), len(cells))
-    r, s = np.divmod(cells, h)
-    reps = np.arange(h)
-    diagonal = np.where(r == s, pat.ising[r], 0.0)
-    zeros = np.zeros(h)
-    rows = np.concatenate([r, r + h, reps, reps + h])
-    cols = np.concatenate([s, s + h, reps + h, reps])
-    order = np.lexsort((cols, rows))
-    out = _RealPattern(
-        indices=cols[order].astype(pat.indices.dtype),
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]
-                              ).astype(pat.indptr.dtype),
-        exchange=np.concatenate([x_plus, x_minus, zeros, zeros])[order],
-        ising=np.concatenate([diagonal, diagonal, zeros, zeros])[order],
-        staggered=np.concatenate([np.zeros(2 * len(cells)),
-                                  -pat.staggered[:h], pat.staggered[:h]])[order],
+    ops = (sparse.csr_matrix((pat.data, pat.indices, pat.indptr), shape=(n, n)),
+           sparse.diags(pat.ising), sparse.diags(1j * pat.staggered))
+    parts = []
+    for name, op, sign in zip(("exchange", "ising", "staggered"), ops, (1, 1, -1)):
+        part = basis_h @ (op @ basis)
+        if part.nnz and abs(part.imag).max() > _ROUNDING:
+            raise ValueError(f"the {name} part of block {q} of L={L} is not real")
+        # X and I symmetric, D antisymmetric, exactly, as in exact arithmetic
+        parts.append(((part.real + sign * part.real.T) / 2).tocoo())
+    cell, slot = np.unique(
+        np.concatenate([part.row.astype(np.int64) * dim + part.col for part in parts]),
+        return_inverse=True)
+    bounds = np.cumsum([0] + [part.nnz for part in parts])
+    data = [np.bincount(slot[lo:hi], part.data, len(cell))
+            for part, lo, hi in zip(parts, bounds, bounds[1:])]
+    data = [np.where(abs(d) < _ROUNDING, 0.0, d) for d in data]
+    used = (data[0] != 0) | (data[1] != 0) | (data[2] != 0)
+    r, s = np.divmod(cell[used], dim)
+    out = _Block(
+        q=q, basis=basis, basis_h=basis_h, n_plus=n_plus,
+        indices=s.astype(np.int32),
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(r, minlength=dim))]
+                              ).astype(np.int32),
+        exchange=data[0][used], ising=data[1][used], staggered=data[2][used],
     )
-    for a in vars(out).values():
+    for a in (out.indices, out.indptr, out.exchange, out.ising, out.staggered):
         a.flags.writeable = False
     return out
 
 
-def _real_hamiltonian(p: XxzParams) -> sparse.csr_matrix:
-    """The real form ``S^H H S`` of the sector matrix (see ``_RealPattern``)
+def _block_hamiltonian(p: XxzParams, q: int) -> sparse.csr_matrix:
+    """The real form of block ``q`` of the sector matrix (see ``_Block``)
     as a real CSR matrix; the pattern is shared read-only and every call
     gets its own ``data``."""
-    pat = _real_pattern(p.L)
-    data = pat.exchange + p.jz * pat.ising + p.gamma * pat.staggered
-    n = len(pat.indptr) - 1
-    return sparse.csr_matrix((data, pat.indices, pat.indptr), shape=(n, n))
+    block = _block(p.L, q)
+    return block.matrix(block.exchange + p.jz * block.ising
+                        + p.gamma * block.staggered)
 
 
-def _from_real_form(u: np.ndarray) -> np.ndarray:
-    """``S u``: the spin-z basis vector of real-form coordinates ``u``; a
-    complex-linear map, so ``u`` may be complex."""
-    h = len(u) // 2
-    a, b = u[:h], 1j * u[h:]
-    return _SQRT_HALF * np.concatenate([a + b, (a - b)[::-1]])
+def _theta_real_start(block: _Block, v: np.ndarray) -> np.ndarray:
+    """Block coordinates of the largest ``Theta``-real part of ``v``'s
+    component ``B w`` in ``block`` (``w = B^H v``).
 
-
-def _to_real_form(x: np.ndarray) -> np.ndarray:
-    """``S^H x``: real-form coordinates of the spin-z basis vector ``x``,
-    real exactly when ``x`` is ``Theta``-real."""
-    h = len(x) // 2
-    top, flipped = x[:h], x[::-1][:h]          # x_r and x_Fr
-    return _SQRT_HALF * np.concatenate([top + flipped, -1j * (top - flipped)])
-
-
-def _theta_real_start(v: np.ndarray) -> np.ndarray:
-    """Real-form coordinates of the largest ``Theta``-real part of ``v``.
-
-    ``(c v + Theta(c v)) / 2`` has squared norm
-    ``(||v||^2 + Re(conj(c)^2 <v, Theta v>)) / 2`` (Hermitian product), largest
-    for the phase ``c = exp(i arg<v, Theta v> / 2)``, where it keeps at least
-    half of ``||v||^2``.  Its coordinates are ``Re(c S^H v)``.
+    With the basis ``Theta``-real, ``Theta(B w) = B conj(w)``, so the
+    ``Theta``-real part of ``c B w`` is ``B Re(c w)``, of squared norm
+    ``(||w||^2 + Re(c^2 w.w)) / 2``: largest for the phase
+    ``c = exp(-i arg(w.w) / 2)``, where it keeps at least half of
+    ``||w||^2``.
     """
-    v = np.asarray(v, dtype=complex)
-    c = np.exp(0.5j * np.angle(np.vdot(v, v[::-1].conj())))
-    return (c * _to_real_form(v)).real
+    w = block.basis_h @ np.asarray(v, dtype=complex)
+    return (np.exp(-0.5j * np.angle(np.dot(w, w))) * w).real
 
 
 def build_hamiltonian(p: XxzParams, basis: M0Basis | None = None,
@@ -335,9 +450,12 @@ class XxzGroundState:
 
     ``left`` is the covector (unconjugated transpose of ``right``, scaled
     so the pairing is 1); ``condition`` records ``|r^T r|``, which tends
-    to zero on approach to an exceptional point.  ``iterations``,
-    ``restarts``, ``matvecs`` and ``extractions`` are the Lanczos solver's
-    counts (see ``LanczosResult``); they are 0 for ``method="dense"``.
+    to zero on approach to an exceptional point.  ``block`` is the ``q`` of
+    the momentum block that holds the state and ``blocks_solved`` the
+    number of blocks solved to find it.  ``iterations``, ``restarts``,
+    ``matvecs`` and ``extractions`` are the Lanczos solver's counts (see
+    ``LanczosResult``), summed over the block solves; they are 0 for
+    ``method="dense"``.
     """
 
     params: XxzParams
@@ -352,6 +470,8 @@ class XxzGroundState:
     restarts: int = 0
     matvecs: int = 0
     extractions: int = 0
+    block: int = 0
+    blocks_solved: int = 0
 
     @property
     def is_broken(self) -> bool:
@@ -372,6 +492,78 @@ def _covector(right: np.ndarray) -> tuple[np.ndarray, float]:
     return right / q, float(abs(q))
 
 
+# largest block whose Bendixson bound is computed.  The dense eigh of its
+# lowest level takes 0.20 ms at dim 52, 0.47 ms at 100, 4.1 ms at 312, 92 ms
+# at 980 and 2.9 s at 3200 (one core, one BLAS thread), against a few ms for
+# a Lanczos solve of a 300-dim block.  A jz scan recomputes the bound at
+# nearly every point, so above this size it costs more than the solves it
+# can save (50 points of an L=14 jz scan took 26 s with the 980-dim blocks
+# bounded and 3 s without).  A larger block goes unbounded and is solved
+BOUND_DIM_CAP = 400
+# Bendixson bounds per (L, q), keyed by jz; the most recent few are kept
+_BOUNDS: dict[tuple[int, int], dict[float, float]] = {}
+_BOUNDS_KEPT = 8
+_BOUNDS_LOCK = threading.Lock()
+
+
+def _bendixson_bound(L: int, q: int, jz: float) -> float:
+    """``f_q(jz)``, the smallest eigenvalue of the real form of block ``q``
+    at ``gamma = 0``.  That matrix is the symmetric part of the real form
+    at every ``gamma``, so every level of the block has ``Re E >= f_q``.
+    ``-inf`` for a block above ``BOUND_DIM_CAP``."""
+    block = _block(L, q)
+    if block.dim > BOUND_DIM_CAP:
+        return -np.inf
+    with _BOUNDS_LOCK:
+        f = _BOUNDS.get((L, q), {}).get(jz)
+    if f is None:
+        f = float(eigh(block.matrix(block.exchange + jz * block.ising).toarray(),
+                       eigvals_only=True, subset_by_index=[0, 0])[0])
+        with _BOUNDS_LOCK:
+            known = _BOUNDS.setdefault((L, q), {})
+            known[jz] = f
+            while len(known) > _BOUNDS_KEPT:
+                del known[next(iter(known))]
+    return f
+
+
+def _bound_estimate(L: int, q: int, jz: float) -> float:
+    """A lower bound on ``f_q(jz)`` from the cached bounds, ``-inf`` without
+    one: ``f_q(jz) >= f_q(a) - L |jz - a|`` (Weyl), as the Ising diagonal
+    is at most ``L`` in size.  It is ``f_q(jz)`` itself if that is cached."""
+    with _BOUNDS_LOCK:
+        known = list(_BOUNDS.get((L, q), {}).items())
+    return max((f - L * abs(jz - a) for a, f in known), default=-np.inf)
+
+
+def _lowest_blocks(p: XxzParams, solve) -> list[tuple[int, LanczosResult]]:
+    """``(q, solve(q))`` for the blocks of the sector that can hold its
+    ground level, in ascending order of ``(f_q, q)``.
+
+    A block is taken from a heap keyed by its best known bound: a cached
+    ``f_q``, else a Weyl estimate, which is replaced by ``f_q`` before the
+    block is solved.  The walk stops at the first key above the lowest
+    ``Re E`` found by more than the tie tolerance of ``ground_state_index``:
+    no level of that block, or of any later one, can be selected.  So the
+    blocks solved do not depend on what the cache holds.
+    """
+    heap = [(_bound_estimate(p.L, q, p.jz), q) for q in range(p.L // 4 + 1)]
+    heapq.heapify(heap)
+    found = []
+    while heap:
+        bound, q = heapq.heappop(heap)
+        if found:
+            energies = np.array([r.eigenvalue for _, r in found])
+            if bound > energies.real.min() + re_tie_tolerance(energies):
+                break
+        f = _bendixson_bound(p.L, q, p.jz)
+        if f > bound:
+            heapq.heappush(heap, (f, q))
+        else:
+            found.append((q, solve(q)))
+    return found
+
+
 def ground_state(
     p: XxzParams,
     *,
@@ -387,66 +579,76 @@ def ground_state(
 
     The deterministic selection rule (smallest real part, then largest
     imaginary part) picks one fixed member of the PT pair in the broken
-    phase.  ``method="dense"`` is the oracle path for small sectors: it
-    densifies the sector and takes the ground pair from
-    ``dense_ground_pair`` (full dense spectrum, then inverse iteration with
-    one LU factorization), so it raises ``NoConvergenceError`` above the
-    residual bound and ``DefectiveMatrixError`` on a defective ground pair;
-    ``residual`` is that of the returned right vector, and the covector
-    stays the plain transpose of it; it ignores ``v0``, ``seed`` and
-    ``max_iter``.
+    phase.  Both methods solve the real forms of the momentum blocks
+    (see ``_Block``) that can hold the ground level (see
+    ``_lowest_blocks``), apply the rule across the blocks' ground levels,
+    and map the winner ``u`` back to the spin-z basis as ``x = B u``,
+    gauged; the covector stays the plain transpose of ``x``.  ``residual``
+    is ``||H x - E x||``: for Lanczos the solver's ``||R u - E u||``, equal
+    to it because ``B`` is an isometry onto an invariant subspace; for
+    ``method="dense"`` computed on the dense sector matrix.
 
-    ``method="lanczos"`` solves the real form ``S^H H S`` of the sector
-    (see ``_RealPattern``) in real arithmetic and maps the solution ``u``
-    back to the spin-z basis as ``S u``, gauged; ``S`` is unitary, so
-    ``residual`` is ``||H x - E x||`` of the returned ``right``.
-    ``max_iter`` is the total Krylov-step budget summed over all restarts
-    of the solve.  The start vector is a real random vector from ``seed``,
-    or the largest ``Theta``-real part of ``v0`` (for example the ground
-    state of nearby parameters) plus a real random part of relative
-    weight ``START_NOISE`` from ``seed``, which keeps every symmetry block
-    of the sector in reach.  ``seed`` also seeds every reseed from a
-    random vector, after a breakdown or a cycle that ends with a worse
-    residual than it started from (see ``complex_symmetric_lanczos``).
+    ``method="dense"`` is the oracle path for small sectors: each block's
+    ground pair comes from ``dense_ground_pair`` on its dense real form
+    (real ``eigvals``, then inverse iteration with one LU factorization),
+    so it raises ``NoConvergenceError`` above the residual bound and
+    ``DefectiveMatrixError`` on a defective ground pair of a solved block;
+    it ignores ``v0``, ``seed`` and ``max_iter``.
+
+    ``method="lanczos"`` solves each block in real arithmetic.
+    ``max_iter`` is the Krylov-step budget of one block solve, summed over
+    its restarts.  The start vector in a block is a real random vector from
+    ``seed``, or the largest ``Theta``-real part of ``v0``'s component in
+    the block (for example from the ground state of nearby parameters)
+    plus a real random part of relative weight ``START_NOISE`` from
+    ``seed``, which keeps the block's other symmetry sectors in reach; a
+    ``v0`` with no component in the block starts it cold.  ``seed`` also
+    seeds every reseed from a random vector, after a breakdown or a cycle
+    that ends with a worse residual than it started from (see
+    ``complex_symmetric_lanczos``).
     ``basis`` is only checked against ``p.L``.
     """
-    dim = comb(p.L, p.L // 2)
+    if method not in ("lanczos", "dense"):
+        raise ValueError(f"unknown method {method!r}")
     _check_basis(p, basis)
+    if method == "dense":
+        _check_dense_cap(comb(p.L, p.L // 2))
     if tol_real is None:
         tol_real = 1e-10 * _norm_estimate(p)
+    rng = np.random.default_rng(seed)
 
-    counts = {}
-    if method == "lanczos":
-        rng = np.random.default_rng(seed)
-        if v0 is None:
-            u0 = rng.standard_normal(dim)
+    def solve(q: int) -> LanczosResult:
+        R = _block_hamiltonian(p, q)
+        if method == "dense":
+            w, g, u, _, residual = dense_ground_pair(R.toarray())
+            return LanczosResult(complex(w[g]), u, residual, 0, 0)
+        block = _block(p.L, q)
+        u0 = None if v0 is None else _theta_real_start(block, v0)
+        if u0 is None or not np.linalg.norm(u0) > 0:
+            u0 = rng.standard_normal(block.dim)
         else:
-            u0 = _theta_real_start(v0)
-            noise = rng.standard_normal(dim)
+            noise = rng.standard_normal(block.dim)
             u0 = (u0 / np.linalg.norm(u0)
                   + START_NOISE * noise / np.linalg.norm(noise))
-        res = complex_symmetric_lanczos(
-            _real_hamiltonian(p), dim, v0=u0, max_iter=max_iter,
-            tol_resid=tol_resid, rng=rng,
-        )
-        right = _from_real_form(res.vector)
-        right /= gauge_factor(right)
-        energy, residual = res.eigenvalue, res.residual
-        counts = dict(iterations=res.iterations, restarts=res.restarts,
-                      matvecs=res.matvecs, extractions=res.extractions)
-    elif method == "dense":
-        _check_dense_cap(dim)
-        w, g, right, _, residual = dense_ground_pair(build_hamiltonian(p).to_dense())
-        energy = complex(w[g])
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        return complex_symmetric_lanczos(R, block.dim, v0=u0, max_iter=max_iter,
+                                         tol_resid=tol_resid, rng=rng)
 
+    found = _lowest_blocks(p, solve)
+    q, res = found[ground_state_index(np.array([r.eigenvalue for _, r in found]))]
+    right = _block(p.L, q).basis @ res.vector
+    right /= gauge_factor(right)
+    energy, residual = res.eigenvalue, res.residual
+    if method == "dense":       # on the dense sector, as a check of it would
+        residual = float(np.linalg.norm(
+            build_hamiltonian(p).to_dense() @ right - energy * right))
     left, condition = _covector(right)
     pt_class = "broken" if abs(energy.imag) > tol_real else "unbroken"
     return XxzGroundState(
         params=p, energy=energy, right=right, left=left,
         pt_class=pt_class, condition=condition, method=method,
-        residual=residual, **counts,
+        residual=residual, block=q, blocks_solved=len(found),
+        **{name: sum(getattr(r, name) for _, r in found)
+           for name in ("iterations", "restarts", "matvecs", "extractions")},
     )
 
 

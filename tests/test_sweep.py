@@ -244,6 +244,34 @@ class TestDeterminism:
         parallel = self._csv(tiny_xxz_config(threads=2))
         assert serial == parallel
 
+    def test_one_line_starts_no_thread_pool(self, monkeypatch):
+        serial = self._csv(tiny_xxz_config(threads=1))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-line sweep started a thread pool")
+
+        monkeypatch.setattr("ptfidelity.sweep.ThreadPoolExecutor", no_pool)
+        assert self._csv(tiny_xxz_config(threads=4)) == serial
+
+    def test_at_most_one_worker_per_line(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        def two_lines(threads):
+            cfg = tiny_xxz_config(threads=threads)
+            cfg.sizes = [4, 6]
+            return cfg
+
+        pools = []
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
+        serial = self._csv(two_lines(1))
+        monkeypatch.setattr("ptfidelity.sweep.ThreadPoolExecutor", recording_pool)
+        assert self._csv(two_lines(4)) == serial
+        assert pools == [2]
+
     def test_seed_changes_nothing_for_closed_forms(self):
         cfg1 = parse_config(SSH_CONFIG)
         cfg2 = parse_config(SSH_CONFIG.replace("seed = 7", "seed = 8"))

@@ -6,9 +6,10 @@ model; any evaluation path (the stacked SSH scan line included) must
 reproduce them byte for byte.  Regenerate them only for an intended and
 logged output change:
 
-    PYTHONPATH=src python tests/test_sweep_golden.py
+    PYTHONPATH=src python tests/test_sweep_golden.py [case ...]
 
-Run it, like the tests, under the default BLAS thread count: the XXZ and
+With case names (for example ``xxz_tiny``) only those files are
+rewritten.  Run it, like the tests, under the default BLAS thread count: the XXZ and
 ``dense-file`` rows depend on it in their last digits, and with
 ``OPENBLAS_NUM_THREADS=1`` those two cases do not match the stored files.
 """
@@ -90,9 +91,13 @@ def test_csv_matches_stored_file(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases {unknown}; known: {sorted(CASES)}")
     DATA.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, make in CASES.items():
-            text = sweep_csv(make(Path(tmp)))
+        for name in names:
+            text = sweep_csv(CASES[name](Path(tmp)))
             (DATA / f"{name}.csv").write_text(text, encoding="utf-8")
             print(f"wrote {name}.csv ({text.count(chr(10)) - 1} rows)", file=sys.stderr)

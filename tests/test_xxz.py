@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.linalg import block_diag
 
+import ptfidelity.xxz as xxz
 from ptfidelity import (
     BasisCapExceededError,
     DefectiveMatrixError,
@@ -18,6 +21,7 @@ from ptfidelity import (
     SparseComplexSymmetricMatrix,
     biorthogonal_eig,
     bisect_ep,
+    dense_ground_pair,
     ground_state_index,
     one_half_ep_test,
 )
@@ -26,8 +30,9 @@ from ptfidelity.ssh import SshParams, band_discriminant
 from ptfidelity.sweep import Axis, SweepConfig, run_sweep, write_csv
 from ptfidelity.xxz import (
     XxzParams,
+    _block,
+    _block_hamiltonian,
     _ground_state_pair,
-    _real_hamiltonian,
     _sector_pattern,
     build_hamiltonian,
     build_m0_basis,
@@ -330,20 +335,21 @@ class TestWarmStartedPair:
         ga, gb, _ = _ground_state_pair(pa, pb, 0, 1, "metricized")
         calls = [0]
 
-        def counting_real_form(p):
-            H = _real_hamiltonian(p)
+        def counting_real_form(p, q):
+            H = _block_hamiltonian(p, q)
 
             def counting(u):
                 calls[0] += 1
                 return H @ u
             return counting
 
-        monkeypatch.setattr("ptfidelity.xxz._real_hamiltonian", counting_real_form)
+        monkeypatch.setattr("ptfidelity.xxz._block_hamiltonian", counting_real_form)
         warm = ground_state(pb, v0=ga.right, seed=1)
         assert warm.matvecs == gb.matvecs == calls[0]
         cold = ground_state(pb, seed=1)
         assert 0 < gb.iterations < gb.matvecs < cold.matvecs
         assert cold.iterations < cold.matvecs
+        monkeypatch.undo()              # the dense path densifies the real form
         dense = ground_state(pb, method="dense")
         assert (dense.iterations, dense.restarts, dense.matvecs) == (0, 0, 0)
 
@@ -518,20 +524,15 @@ class TestItpLocator:
         assert one_half_ep_test(state_fn, lo, hi).n_crossings == 1
 
 
-def spin_flip_unitary(L):
-    """The unitary S of the real form, built from the configurations: one
-    column (e_r + e_Fr) / sqrt 2 per representative r (the smaller of a
-    configuration and its bit complement F r), then i (e_r - e_Fr) / sqrt 2."""
+def translate_two_sites(L):
+    """T2 on the sector, built from the configurations: the permutation
+    that moves the spin on site j to site j + 2."""
     states = build_m0_basis(L).states
     n = len(states)
-    flip = np.searchsorted(states, states ^ ((1 << L) - 1))
-    reps = np.flatnonzero(states < states[flip])
-    S = np.zeros((n, n), dtype=complex)
-    k = np.arange(len(reps))
-    S[reps, k] = S[flip[reps], k] = np.sqrt(0.5)
-    S[reps, k + n // 2] = 1j * np.sqrt(0.5)
-    S[flip[reps], k + n // 2] = -1j * np.sqrt(0.5)
-    return S
+    moved = ((states << 2) | (states >> (L - 2))) & ((1 << L) - 1)
+    T = np.zeros((n, n))
+    T[np.searchsorted(states, moved), np.arange(n)] = 1.0
+    return T
 
 
 # jz < 0, jz = 0, gamma = 0, and broken-phase gamma (the Jz=1 sector EP is
@@ -540,7 +541,7 @@ REAL_FORM_POINTS = [(-1.3, 0.4), (0.0, 1.3), (1.0, 0.0), (-2.0, 0.0), (1.0, 0.8)
 
 
 class TestRealForm:
-    """Lanczos solves run on the real form S^H H S of the sector, which the
+    """Solves run on the real forms B^H H B of the momentum blocks, which the
     spin-flip PT symmetry Theta = F K makes real."""
 
     @pytest.mark.parametrize("jz,gamma", REAL_FORM_POINTS)
@@ -548,13 +549,22 @@ class TestRealForm:
     def test_assembled_real_form_is_the_rotated_sector(self, L, jz, gamma):
         p = XxzParams(jz=jz, gamma=gamma, L=L)
         H = build_hamiltonian(p).to_dense()
-        S = spin_flip_unitary(L)
+        blocks = [_block(L, q) for q in range(L // 4 + 1)]
+        S = np.hstack([b.basis.toarray() for b in blocks])
         np.testing.assert_allclose(S.conj().T @ S, np.eye(len(S)), atol=1e-15)
-        R = _real_hamiltonian(p)
-        assert R.dtype == np.float64
-        R = R.toarray()
+        # Theta-real columns; block q spans the T2 momenta +-K
+        assert np.abs(S[::-1].conj() - S).max() <= 1e-15
+        T = translate_two_sites(L)
+        for b in blocks:
+            B = b.basis.toarray()
+            K = 2 * np.pi * b.q / (L // 2)
+            assert np.abs(T @ T @ B - 2 * np.cos(K) * T @ B + B).max() <= 1e-14
+        forms = [_block_hamiltonian(p, b.q) for b in blocks]
+        assert all(R.dtype == np.float64 for R in forms)
+        R = block_diag(*[R.toarray() for R in forms])
         assert np.abs(S.conj().T @ H @ S - R).max() <= 1e-13 * np.linalg.norm(H, 1)
-        J = np.diag(np.repeat([1.0, -1.0], len(R) // 2))
+        J = np.diag(np.concatenate([np.repeat([1.0, -1.0], [b.n_plus, b.dim - b.n_plus])
+                                    for b in blocks]))
         assert np.array_equal(J @ R, (J @ R).T)
         if gamma:
             assert not np.array_equal(R, R.T)
@@ -572,6 +582,97 @@ class TestRealForm:
         assert abs(np.linalg.norm(g.right) - 1.0) < 1e-14
         if (jz, gamma) == (1.0, 0.8):
             assert g.pt_class == "broken"
+
+
+def full_sector_ground_energy(p):
+    """The full-sector oracle: the dense ground pair of the whole sector."""
+    w, g, *_ = dense_ground_pair(build_hamiltonian(p).to_dense())
+    return w[g]
+
+
+# ground levels outside K = 0, with their block: L=10, Jz=-2 past the
+# block crossing at gamma = 0.78884 included
+OUTSIDE_K0 = [(6, -2.0, 1.5, 1), (6, -2.0, 2.0, 1), (6, -1.0, 1.75, 1),
+              (10, -2.0, 1.5, 2), (10, -2.0, 2.0, 2), (10, -1.0, 1.75, 2),
+              (10, -2.0, 0.79, 1), (10, -2.0, 0.80, 2), (10, -2.0, 0.85, 2)]
+
+
+class TestMomentumBlocks:
+    """Ground states are solved in the momentum blocks of the two-site
+    translation, in ascending order of a Bendixson bound, and checked
+    against the full sector."""
+
+    @pytest.mark.parametrize("L,dims", [(6, [8, 12]), (8, [20, 32, 18]),
+                                        (10, [52, 100, 100]),
+                                        (12, [160, 300, 312, 152])])
+    def test_block_dimensions(self, L, dims):
+        assert [_block(L, q).dim for q in range(L // 4 + 1)] == dims
+        assert sum(dims) == comb(L, L // 2)
+
+    def test_a_block_that_is_not_real_fails_the_check(self, monkeypatch):
+        # an Ising diagonal that F does not keep couples the F-even and
+        # F-odd basis vectors with imaginary entries
+        pattern = xxz._sector_pattern(8)
+        broken = replace(pattern, ising=pattern.ising + pattern.staggered)
+        monkeypatch.setattr(xxz, "_sector_pattern", lambda L: broken)
+        with pytest.raises(ValueError, match="ising part of block 1 of L=8 is not real"):
+            xxz._block.__wrapped__(8, 1)
+
+    @pytest.mark.parametrize("jz,gamma", REAL_FORM_POINTS)
+    @pytest.mark.parametrize("L", [6, 8, 10])
+    def test_bound_is_below_every_level_of_its_block(self, L, jz, gamma, monkeypatch):
+        monkeypatch.setattr(xxz, "_BOUNDS", {})
+        p = XxzParams(jz=jz, gamma=gamma, L=L)
+        for q in range(L // 4 + 1):
+            f = xxz._bendixson_bound(L, q, jz)
+            w = np.linalg.eigvals(_block_hamiltonian(p, q).toarray())
+            assert w.real.min() >= f - 1e-12
+            if gamma == 0:
+                assert w.real.min() == pytest.approx(f, abs=1e-12)
+            # Weyl: a bound cached at jz reaches any other jz
+            for other in (jz - 0.3, jz + 1.1):
+                assert xxz._bound_estimate(L, q, other) <= \
+                    xxz._bendixson_bound(L, q, other) + 1e-12
+
+    @pytest.mark.parametrize("L", [4, 6, 8, 10, 12])
+    def test_against_the_full_sector(self, L):
+        gammas = (0.0, 0.45, 1.1, 1.9) if L < 12 else (0.45, 1.9)
+        for jz in (-2.0, -1.0, 0.0, 1.0):
+            for gamma in gammas:
+                p = XxzParams(jz=jz, gamma=gamma, L=L)
+                want = full_sector_ground_energy(p)
+                for method in ("lanczos", "dense"):
+                    g = ground_state(p, method=method)
+                    assert abs(g.energy - want) <= 1e-8, (jz, gamma, method)
+                    assert 1 <= g.blocks_solved <= L // 4 + 1
+
+    @pytest.mark.parametrize("L,jz,gamma,q", OUTSIDE_K0)
+    def test_ground_level_outside_k0(self, L, jz, gamma, q):
+        p = XxzParams(jz=jz, gamma=gamma, L=L)
+        want = full_sector_ground_energy(p)
+        for method in ("lanczos", "dense"):
+            g = ground_state(p, method=method)
+            assert g.block == q
+            assert abs(g.energy - want) <= 1e-8, method
+            H = build_hamiltonian(p)
+            assert np.linalg.norm(H @ g.right - g.energy * g.right) <= 1e-9
+
+    def test_solved_blocks_do_not_depend_on_the_cache(self, monkeypatch):
+        # past the crossing at 0.78884 three blocks are solved; a bound
+        # cached at another jz changes which bounds are computed, not which
+        # blocks are solved or in what order
+        p = XxzParams(jz=-2.0, gamma=0.8, L=10)
+        runs = []
+        for warm in (None, -2.4, -1.5):
+            monkeypatch.setattr(xxz, "_BOUNDS", {})
+            if warm is not None:
+                for q in range(3):
+                    xxz._bendixson_bound(10, q, warm)
+            g = ground_state(p, seed=4)
+            runs.append((g.energy, g.block, g.blocks_solved, g.iterations,
+                         g.matvecs, g.extractions, g.right.tobytes()))
+        assert runs[0][2] == 3
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestThetaRealStart:

@@ -35,7 +35,6 @@ from .errors import (
     OddLError,
     PartnerMismatchError,
     PtfidelityError,
-    QuasiNullBreakdownError,
     UnpairableSpectrumError,
 )
 from .fidelity import (

@@ -29,10 +29,6 @@ class NotBrokenError(PtfidelityError):
     """The requested state has a real eigenvalue and no PT partner."""
 
 
-class QuasiNullBreakdownError(PtfidelityError):
-    """Lanczos hit a quasi-null Krylov vector and ran out of restarts."""
-
-
 class NoConvergenceError(PtfidelityError):
     """Iterative solver did not reach the residual target within max_iter."""
 

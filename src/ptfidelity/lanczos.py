@@ -1,21 +1,20 @@
-"""Restarted Lanczos iteration for complex symmetric matrices, and its
-real counterpart.
+"""Restarted Arnoldi iteration for the smallest-Re eigenpair of a complex
+symmetric matrix, or of a real one.
 
-The iteration builds a Krylov basis orthogonal under the unconjugated
-bilinear form ``<u, v> = sum_i u_i v_i``.  Each step orthogonalizes the
+The iteration builds a Krylov basis orthonormal under the standard inner
+product ``<u, v> = sum_i conj(u_i) v_i``.  Each step orthogonalizes the
 new vector against the whole basis in two blocked Gram-Schmidt passes and
 enters the coefficients of both into column ``m-1`` of a dense projected
 matrix ``T``, so ``H V = V T + w e_m^T`` holds to rounding and
-Rayleigh-Ritz on ``T`` keeps its accuracy as the basis grows.  For a
-matrix equal to its plain transpose ``T`` is tridiagonal up to rounding:
-the three-term recurrence of Cullum and Willoughby.
+Rayleigh-Ritz on ``T`` keeps its accuracy as the basis grows.  ``T`` is
+upper Hessenberg in both dtypes, and the operator need not be symmetric.
+An orthonormal basis has no null vectors, so the only breakdown is an
+invariant subspace.
 
 The iteration runs in the dtype of its start vector.  A real start vector
 with an operator that maps real vectors to real vectors gives a real
-basis, a real ``T`` and real reseeds: the bilinear form is then the
-Euclidean inner product and the step is Arnoldi's, so ``T`` is upper
-Hessenberg and the operator need not be symmetric.  Without a start
-vector the iteration is complex.
+basis, a real ``T`` and real reseeds.  Without a start vector the
+iteration is complex.
 
 A Ritz extraction takes the Ritz values from ``eigvals(T)`` and forms only
 the wanted Ritz vector, by inverse iteration on ``T - theta I``.  The first
@@ -30,10 +29,11 @@ most ``2 * RITZ_INTERVAL`` steps ahead (for a matrix of dimension below
 true residual is computed only where the estimate has met the tolerance,
 and at the end of a cycle.  A cycle keeps at most
 ``KRYLOV_CAP`` Krylov vectors (memory ``KRYLOV_CAP + 1`` vectors of the
-matrix dimension) and restarts when it reaches that size or when the true
-residual stops halving between two checks: from its best Ritz vector (its
-real part in a real iteration) if that vector's residual is finite and
-below the start vector's, else from a fresh random vector.
+matrix dimension) and restarts from its best Ritz vector (its real part in
+a real iteration) when it reaches that size or when the true residual stops
+halving between two checks.  Only a start vector of zero or non-finite
+norm, and an invariant subspace without a converged pair, reseed from a
+fresh random vector.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import _shifted_lu, gauge_factor, ground_state_index
-from .errors import NoConvergenceError, QuasiNullBreakdownError
+from .errors import NoConvergenceError
 
 # Krylov vectors kept per cycle: large enough that the sector ground states
 # of the XXZ ring converge in one or two cycles up to L=20.  A Ritz
@@ -61,8 +61,6 @@ KRYLOV_CAP = 80
 # Krylov steps to the first Ritz extraction of a cycle; later extractions
 # are placed by the Ritz estimate, at most twice this far apart
 RITZ_INTERVAL = 10
-# relative quasi-norm floor |<w,w>| / ||w||^2 of a Krylov vector
-BREAKDOWN_GUARD = 1e-14
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +86,7 @@ def complex_symmetric_lanczos(
     restart_max: int = 5,
     rng: np.random.Generator | None = None,
 ) -> LanczosResult:
-    """Extremal eigenpair of a complex symmetric matrix, or of a real one.
+    """Smallest-Re eigenpair of a complex symmetric matrix, or of a real one.
 
     Returns the eigenpair whose eigenvalue has the smallest real part among
     the Ritz values, tie-broken toward larger imaginary part.  For complex
@@ -99,29 +97,21 @@ def complex_symmetric_lanczos(
     Parameters
     ----------
     matrix : callable, or anything supporting ``@``.
-    dim : vector dimension.
-    v0 : optional seed vector with nonzero quasi-norm ``<v, v>``.  Its dtype
-        sets the arithmetic: a real ``v0`` runs the iteration in real
-        arithmetic (Arnoldi on a real operator, which must map real vectors
-        to real vectors), with real reseeds; a complex ``v0``, or none,
-        runs it in complex arithmetic.
+    dim : vector dimension, at least 1.
+    v0 : optional seed vector.  Its dtype sets the arithmetic: a real ``v0``
+        runs the iteration in real arithmetic (the operator must then map
+        real vectors to real vectors), with real reseeds; a complex ``v0``,
+        or none, runs it in complex arithmetic.
     max_iter : total budget of Krylov steps (one matvec each) summed over
         all cycles; the true-residual checks come on top of it.
     tol_resid : target on the true residual ``||H x - E x||_2``.
 
     A cycle ends when it reaches ``KRYLOV_CAP`` vectors or its true
-    residual fails to halve between two checks.  The next cycle starts
-    from the cycle's best Ritz vector (in a real iteration, its real part)
-    if that vector's residual is finite and below the start vector's own
-    ``||H v0 - a v0|| / ||v0||``; otherwise
-    the cycle made no progress (a near-breakdown can blow the projection up
-    to a Ritz residual of 1e98), and the iteration reseeds from a fresh
-    random vector of ``rng``.  A Krylov vector whose relative quasi-norm
-    falls below ``BREAKDOWN_GUARD`` (a quasi-null breakdown, possible only
-    in complex arithmetic: a real vector's quasi-norm is its squared norm),
-    and an invariant subspace without a converged pair, reseed the same
-    way.  At
-    most ``restart_max`` reseeds are made.
+    residual fails to halve between two checks, and the next cycle starts
+    from the cycle's best Ritz vector (in a real iteration, its real part).
+    A start vector of zero or non-finite norm, and an invariant subspace
+    without a converged pair, reseed from a fresh random vector of ``rng``
+    instead.  At most ``restart_max`` reseeds are made.
 
     The result's ``iterations`` counts every Krylov step of every cycle,
     ``matvecs`` every application of ``matrix`` (the steps plus the
@@ -130,12 +120,11 @@ def complex_symmetric_lanczos(
 
     Raises
     ------
-    QuasiNullBreakdownError
-        After ``restart_max`` reseeds, the last one for a breakdown.
+    ValueError
+        If ``dim < 1`` or ``v0`` does not have shape ``(dim,)``.
     NoConvergenceError
-        After ``restart_max`` reseeds, the last one for a cycle without
-        progress, or if the smallest-Re Ritz pair has not met ``tol_resid``
-        when the ``max_iter`` budget is spent.
+        After ``restart_max`` reseeds, or if the smallest-Re Ritz pair has
+        not met ``tol_resid`` when the ``max_iter`` budget is spent.
     """
     apply = matrix if callable(matrix) else matrix.__matmul__
     if rng is None:
@@ -149,6 +138,8 @@ def complex_symmetric_lanczos(
             return rng.standard_normal(dim)
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
     seed = random_seed() if v0 is None else np.asarray(v0, dtype=dtype)
     if seed.shape != (dim,):
         raise ValueError(f"seed vector must have shape ({dim},)")
@@ -159,8 +150,8 @@ def complex_symmetric_lanczos(
     steps = checks = extractions = restarts = reseeds = 0
     best_resid = np.inf
     while True:
-        kind, cycle_steps, cycle_checks, cycle_extractions, result, start_resid = (
-            _cycle(apply, seed, basis, T, max_iter - steps, tol_resid))
+        kind, cycle_steps, cycle_checks, cycle_extractions, result = _cycle(
+            apply, seed, basis, T, max_iter - steps, tol_resid)
         steps += cycle_steps
         checks += cycle_checks
         extractions += cycle_extractions
@@ -176,14 +167,14 @@ def complex_symmetric_lanczos(
                 f"steps ({restarts} restarts; best residual {best_resid:.3e})"
             )
         restarts += 1
-        log.debug("restart after cycle %d: %s, best residual %.3e, "
-                  "%d iterations", restarts, kind, best_resid, steps)
-        breakdown = kind in ("quasi-null", "invariant")
-        if breakdown or not result.residual < start_resid:   # also NaN
+        reseed = kind in ("degenerate-start", "invariant")
+        log.debug("%s after cycle %d: %s, best residual %.3e, %d iterations",
+                  "reseed" if reseed else "restart", restarts, kind,
+                  best_resid, steps)
+        if reseed:
             reseeds += 1
             if reseeds > restart_max:
-                error = QuasiNullBreakdownError if breakdown else NoConvergenceError
-                raise error(
+                raise NoConvergenceError(
                     f"{kind} cycle after {restart_max} reseeds "
                     f"(best residual {best_resid:.3e})"
                 )
@@ -230,25 +221,22 @@ def _steps_ahead(estimate, previous, steps, tol_resid, longest):
 
 
 def _cycle(apply, seed, basis, T, budget, tol_resid):
-    """One Lanczos cycle from ``seed`` of at most ``len(T)`` and at most
+    """One Arnoldi cycle from ``seed`` of at most ``len(T)`` and at most
     ``budget`` Krylov steps.  Returns why it stopped, the steps it took, the
-    true-residual checks and the Ritz extractions it made, its best
-    extracted Ritz pair (or None) and the relative residual
-    ``||H v0 - a v0|| / ||v0||`` of the start vector (inf before the first
-    step)."""
-    start_resid = np.inf
+    true-residual checks and the Ritz extractions it made, and its best
+    extracted Ritz pair (or None)."""
     if budget <= 0:
-        return "budget", 0, 0, 0, None, start_resid
-    q0 = np.dot(seed, seed)                 # bilinear: no conjugation
-    if abs(q0) < BREAKDOWN_GUARD * max(np.linalg.norm(seed) ** 2, 1e-300):
-        return "quasi-null", 0, 0, 0, None, start_resid
+        return "budget", 0, 0, 0, None
+    norm = np.linalg.norm(seed)
+    if not 0 < norm < np.inf:               # also NaN
+        return "degenerate-start", 0, 0, 0, None
     m_cap = T.shape[0]
     # the decay of the estimate speeds up as the Krylov space fills a small
     # matrix, so no jump is longer than a quarter of the cycle's room
     longest = min(2 * RITZ_INTERVAL, max(RITZ_INTERVAL, m_cap // 4))
-    basis[0] = seed / np.sqrt(q0)
+    basis[0] = seed / norm
     T[:] = 0.0
-    t_max = 0.0                     # running max of |alpha|, |beta|
+    t_max = 0.0                     # running max of |T[m-1, m-1]|, |T[m, m-1]|
     checks = extractions = 0
     best: LanczosResult | None = None
     # the next extraction, and the step and Ritz estimate of the last one
@@ -256,13 +244,14 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
     next_m, prev_m, prev_estimate = RITZ_INTERVAL, 1, np.inf
     for m in range(1, m_cap + 1):
         V = basis[:m]
+        Vh = V.conj()               # V itself for a real basis
         Av = apply(V[m - 1])
-        # two blocked Gram-Schmidt passes in the bilinear form; the first
-        # holds alpha and beta, and both fill column m-1 of the projection
+        # two blocked Gram-Schmidt passes; the first holds the diagonal
+        # entry, and both fill column m-1 of the projection
         w = basis[m]                # the next Krylov vector, built in place
-        coeffs = V @ Av
+        coeffs = Vh @ Av
         np.subtract(Av, V.T @ coeffs, out=w)
-        again = V @ w
+        again = Vh @ w
         w -= V.T @ again
         coeffs += again
         T[:m, m - 1] = coeffs
@@ -270,7 +259,7 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
 
         nw = np.sqrt(np.vdot(w, w).real)
         if m == 1:
-            start_resid = prev_estimate = nw / np.linalg.norm(V[0])
+            prev_estimate = nw / np.linalg.norm(V[0])
         invariant = nw <= 1e-13 * max(t_max, 1.0)
         last = invariant or m == m_cap or m == budget
         if last or m == next_m:
@@ -288,24 +277,20 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
                 result = LanczosResult(complex(theta[t]), x, resid, 0, 0)
                 counts = m, checks, extractions
                 if resid <= tol_resid:
-                    return "converged", *counts, result, start_resid
+                    return "converged", *counts, result
                 if invariant:
-                    return "invariant", *counts, result, start_resid
+                    return "invariant", *counts, result
                 if best is not None and resid > 0.5 * best.residual:
                     return "stagnation", *counts, min(
-                        best, result, key=lambda r: r.residual), start_resid
+                        best, result, key=lambda r: r.residual)
                 if last:
                     kind = "budget" if m == budget else "krylov-cap"
-                    return kind, *counts, result, start_resid
+                    return kind, *counts, result
                 best = result
             next_m = m + _steps_ahead(estimate, prev_estimate, m - prev_m,
                                       tol_resid, longest)
             prev_m, prev_estimate = m, estimate
 
-        q = np.dot(w, w)
-        if abs(q) < BREAKDOWN_GUARD * nw**2:
-            return "quasi-null", m, checks, extractions, best, start_resid
-        beta = np.sqrt(q)
-        T[m, m - 1] = beta
-        t_max = max(t_max, abs(beta))
-        w /= beta
+        T[m, m - 1] = nw
+        t_max = max(t_max, nw)
+        w /= nw

@@ -603,9 +603,8 @@ def ground_state(
     plus a real random part of relative weight ``START_NOISE`` from
     ``seed``, which keeps the block's other symmetry sectors in reach; a
     ``v0`` with no component in the block starts it cold.  ``seed`` also
-    seeds every reseed from a random vector, after a breakdown or a cycle
-    that ends with a worse residual than it started from (see
-    ``complex_symmetric_lanczos``).
+    seeds any reseed from a random vector, which only an invariant subspace
+    without a converged pair calls for (see ``complex_symmetric_lanczos``).
     ``basis`` is only checked against ``p.L``.
     """
     if method not in ("lanczos", "dense"):

@@ -13,6 +13,10 @@ factorization), which is all a fidelity needs; only that pair must be
 non-defective.  ``biorthogonal_eig`` returns every pair, for callers that
 need the whole eigensystem (completeness, metric operator, PT partners),
 and requires every pair to be non-defective.
+
+``dense_ground_pair`` and ``dense_full_spectrum`` solve a complex matrix
+with exact PT symmetry, parity as the reversal J of the basis order times
+complex conjugation, through its real form (see ``_pt_real_form``).
 """
 
 from __future__ import annotations
@@ -34,11 +38,13 @@ from .errors import (
 # Raw-overlap floor of a non-defective pair, the same at every scale of H.
 # Rounding moves an exact EP2 by about eps |H|, which can leave its computed
 # pair an overlap up to about sqrt(eps), while a pair at relative distance d
-# from an EP2 has overlap sqrt(2 d).  Measured with dense_ground_pair on
-# c [[i, 1], [1, -i]] for 61 scales c in [1e-3, 1e3]: the exact EP gives
-# overlaps of 6.5e-16 to 7.2e-12 (26 of them above 1e-12), and the pair
-# 1e-12 from it 1.41e-6 at every c (below that the residual bound fails
-# first).  sqrt(eps) = 1.5e-8 is 2000 times the largest exact-EP overlap
+# from an EP2 has overlap sqrt(2 d).  Measured on c [[i, 1], [1, -i]] for
+# 61 scales c in [1e-3, 1e3].  That matrix is centrohermitian, so
+# dense_ground_pair solves its real form: the exact EP gives overlaps of
+# 3.2e-15 to 4.1e-15, and the pair 1e-12 from it 1.41e-6 at every c (below
+# that the residual bound fails first).  biorthogonal_eig, in complex
+# arithmetic, gives the exact EP 2.5e-17 to 2.4e-12 (22 of them above
+# 1e-12).  sqrt(eps) = 1.5e-8 is 6000 times the largest exact-EP overlap
 # and 1/95 of the near pair's
 OVERLAP_FLOOR = float(np.sqrt(np.finfo(float).eps))
 # overlap of left and right vectors that coincide to rounding; the error
@@ -161,6 +167,59 @@ def _shifted_lu(A, shift, pivot_floor):
     return lu, piv, getrs
 
 
+def _pt_real_form(H):
+    """``R = Q^H H Q``, real, when the complex ``H`` is exactly centrohermitian
+    (``J conj(H) J == H`` bit for bit, J the exchange matrix); else None.
+
+    ``Q = [[I, 0, iI], [0, sqrt 2, 0], [J, 0, -iJ]] / sqrt 2`` is unitary;
+    its middle row and column exist only for odd n (Lee 1980, Linear
+    Algebra Appl. 29, 205).  With ``A, x, B`` the first n // 2 rows of
+    ``H`` split at the middle column, ``y`` the first half of the middle
+    row and ``BJ = B[:, ::-1]``::
+
+        R = [[Re(A + BJ),  sqrt2 Re x,  Im(BJ - A)],
+             [sqrt2 Re y,  Re H_mm,     -sqrt2 Im y],
+             [Im(A + BJ),  sqrt2 Im x,  Re(A - BJ)]]
+
+    which reads only the first half of ``H`` and is written straight into
+    ``R``.  Its eigenvalues are those of ``H``, and its eigenvectors map
+    back through ``_from_pt_real_form``.
+    """
+    if np.isrealobj(H):
+        return None
+    rev = H[::-1, ::-1]             # no complex n x n temporary
+    if not (np.array_equal(H.real, rev.real) and np.array_equal(H.imag, -rev.imag)):
+        return None
+    n = len(H)
+    m, k = n // 2, n - n // 2
+    A, BJ = H[:m, :m], H[:m, k:][:, ::-1]
+    R = np.empty((n, n))
+    np.add(A.real, BJ.real, out=R[:m, :m])
+    np.subtract(BJ.imag, A.imag, out=R[:m, k:])
+    np.add(A.imag, BJ.imag, out=R[k:, :m])
+    np.subtract(A.real, BJ.real, out=R[k:, k:])
+    if m < k:
+        x, y = H[:m, m], H[m, :m]
+        R[:m, m], R[k:, m] = np.sqrt(2) * x.real, np.sqrt(2) * x.imag
+        R[m, :m], R[m, k:] = np.sqrt(2) * y.real, -np.sqrt(2) * y.imag
+        R[m, m] = H[m, m].real
+    return R
+
+
+def _from_pt_real_form(v):
+    """``Q v``: a right eigenvector of ``R`` mapped to one of ``H``.  For a
+    real row covector ``l`` of ``R``, ``conj(Q l)`` is the covector
+    ``l Q^H`` of ``H``."""
+    n = len(v)
+    m, k = n // 2, n - n // 2
+    a, b = v[:m], 1j * v[k:]
+    out = np.empty(n, complex)
+    out[:m] = np.sqrt(0.5) * (a + b)
+    out[m:k] = v[m:k]
+    out[k:] = (np.sqrt(0.5) * (a - b))[::-1]
+    return out
+
+
 def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float]:
     """Spectrum and biorthogonal ground-state pair of a dense matrix.
 
@@ -174,6 +233,13 @@ def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float
     ``gauge_factor`` convention and the covector is scaled so that
     ``left @ right == 1``.  A real ``H`` stays real: its eigenvalues come
     from the real LAPACK solver, and its LU and vectors are real when E is.
+    An exactly centrohermitian complex ``H`` (PT symmetric under basis
+    reversal and conjugation) has its eigenvalues from its real form
+    ``R = Q^H H Q`` (``_pt_real_form``).  When E is real the real LU of
+    ``R - E I`` gives the pair ``(u, l)`` of ``R``, which maps back as
+    ``right = Q u`` and ``left = l Q^H`` before the gauge and the scaling;
+    a complex E is shifted out of ``H`` itself.  Both residuals are taken
+    on ``H``.
 
     Returns
     -------
@@ -192,18 +258,24 @@ def dense_ground_pair(H) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, float
         exceptional point.  No other eigenpair is checked.
     """
     H = _as_square(H)
-    w = dense_full_spectrum(H)
+    R = _pt_real_form(H)
+    w = dense_full_spectrum(H if R is None else R)
     g = ground_state_index(w)
     energy = w[g]
+    if energy.imag != 0:        # a complex shift makes either LU complex
+        R = None
+    A = H if R is None else R
     norm1 = np.linalg.norm(H, 1)
     pivot_floor = np.finfo(float).eps * norm1 or 1.0      # H = 0: any vector
-    lu, piv, getrs = _shifted_lu(H, energy, pivot_floor)
+    lu, piv, getrs = _shifted_lu(A, energy, pivot_floor)
     right = left = np.random.default_rng(0).standard_normal(len(H)).astype(lu.dtype)
     for _ in range(3):
         right = getrs(lu, piv, right)[0]
         right /= np.linalg.norm(right)
         left = getrs(lu, piv, left, trans=1)[0]
         left /= np.linalg.norm(left)
+    if R is not None:
+        right, left = _from_pt_real_form(right), _from_pt_real_form(left).conj()
     right = right / gauge_factor(right)
     residual = float(np.linalg.norm(H @ right - energy * right))
     left_residual = float(np.linalg.norm(left @ H - energy * left))
@@ -382,14 +454,19 @@ def metric_operator(es: BiorthogonalEigensystem) -> np.ndarray:
 
 
 def dense_full_spectrum(H, *, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    """All eigenvalues of a dense matrix, sorted by (Re, Im) ascending; a
-    real matrix stays real, so LAPACK's real solver runs."""
+    """All eigenvalues of a dense matrix, sorted by (Re, Im) ascending.
+
+    LAPACK's real solver runs on a real matrix and on the real form
+    ``_pt_real_form`` of an exactly centrohermitian complex one, whose
+    complex eigenvalues then come in exact conjugate pairs; any other
+    complex matrix goes to the complex solver."""
     H = _as_square(H)
     if H.shape[0] > dim_cap:
         raise DimTooLargeError(
             f"dimension {H.shape[0]} exceeds dense guard {dim_cap}"
         )
-    w = np.linalg.eigvals(H).astype(complex, copy=False)
+    R = _pt_real_form(H)
+    w = np.linalg.eigvals(H if R is None else R).astype(complex, copy=False)
     return w[np.lexsort((w.imag, w.real))]
 
 

@@ -413,7 +413,9 @@ class _DenseFileEvaluator(_Evaluator):
     Each endpoint takes its ground pair from ``dense_ground_pair``, so only
     that pair must be non-defective (a Jordan block elsewhere in the
     spectrum is fine), and its PT class from ``classify_pt`` on the whole
-    spectrum, which also checks the input's conjugate pairing.
+    spectrum, which also checks the input's conjugate pairing.  An endpoint
+    matrix that is exactly PT symmetric under basis reversal and
+    conjugation (centrohermitian) is solved in real arithmetic.
     """
 
     def __init__(self, cfg: SweepConfig, L: int):

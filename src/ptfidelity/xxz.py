@@ -839,6 +839,10 @@ def records_to_peak_input(records, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def full_sector_spectrum(p: XxzParams) -> np.ndarray:
-    """All sector eigenvalues, sorted by (Re, Im); spectral-portrait data."""
+    """All sector eigenvalues, sorted by (Re, Im); spectral-portrait data.
+
+    The spin flip reverses the ascending order of the sector basis, so the
+    sector matrix is exactly centrohermitian and ``dense_full_spectrum``
+    solves its real form with LAPACK's real solver."""
     _check_dense_cap(comb(p.L, p.L // 2))
     return dense_full_spectrum(build_hamiltonian(p).to_dense())

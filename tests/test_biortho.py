@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ptfidelity import (
     AmbiguousPairingError,
@@ -16,6 +18,7 @@ from ptfidelity import (
     metric_operator,
     pt_partner_state,
 )
+from ptfidelity.biortho import _pt_real_form
 from ptfidelity.ssh import SshParams, bloch_matrix, open_boundary_matrix
 
 from conftest import greedy_conjugate_closure_defect, random_diagonalizable, random_pt_matrix
@@ -309,3 +312,68 @@ class TestScaleFreeOverlapFloor:
         assert abs(left @ right - 1.0) < 1e-9
         # the raw overlap of the unit vectors is sqrt(2 d)
         assert 1 / np.linalg.norm(left) == pytest.approx(np.sqrt(2 * d), rel=1e-3)
+
+
+def _centrohermitian(n, seed):
+    """Random complex ``H`` with ``J conj(H) J == H`` exactly: the sum of
+    ``X`` and its reversed conjugate does not depend on the order."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return X + X[::-1, ::-1].conj()
+
+
+# fixed examples, so that a Tier-1 run does not depend on luck
+_PT_PROPERTY = settings(derandomize=True, database=None, deadline=None)
+_ORDERS = st.integers(1, 9)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestPtRealForm:
+    """A complex matrix that is exactly PT symmetric under basis reversal and
+    conjugation (centrohermitian) is solved on its real form ``Q^H H Q``;
+    the results are those of the complex path."""
+
+    @_PT_PROPERTY
+    @given(n=_ORDERS, seed=_SEEDS)
+    @example(n=64, seed=0)
+    def test_spectrum_is_the_complex_paths(self, n, seed):
+        H = _centrohermitian(n, seed)
+        w = dense_full_spectrum(H)
+        z = np.linalg.eigvals(H)
+        dist = np.abs(w[:, None] - z[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(H, 2)
+        # real LAPACK returns complex eigenvalues in exact conjugate pairs
+        assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+
+    @_PT_PROPERTY
+    @given(n=_ORDERS, seed=_SEEDS)
+    @example(n=64, seed=0)
+    def test_ground_pair_matches_biorthogonal_eig(self, n, seed):
+        H = _centrohermitian(n, seed)
+        es = biorthogonal_eig(H)
+        w, g, right, left, residual = dense_ground_pair(H)
+        k = es.ground_index()
+        # a conjugate pair is tied in Re exactly here and only to rounding
+        # in the complex path, so the sorted indices may differ
+        assert abs(w[g] - es.eigenvalues[k]) <= 1e-10 * np.abs(w).max()
+        assert np.abs(right - es.right_vectors[:, k]).max() <= 1e-10
+        assert np.abs(left - es.left_vectors[k]).max() <= 1e-10 * np.abs(left).max()
+        assert abs(left @ right - 1.0) < 1e-12
+        assert residual == float(np.linalg.norm(H @ right - w[g] * right))
+
+    @_PT_PROPERTY
+    @given(n=_ORDERS, seed=_SEEDS, data=st.data())
+    def test_one_ulp_off_takes_the_complex_path(self, n, seed, data):
+        H = _centrohermitian(n, seed)
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        moved = H.copy()
+        # an entry that is its own mirror image is real: move its zero
+        # imaginary part, since moving its real part keeps the symmetry
+        part = moved.imag if (i, j) == (n - 1 - i, n - 1 - j) else moved.real
+        part[i, j] = np.nextafter(part[i, j], np.inf)
+        assert _pt_real_form(H) is not None
+        assert _pt_real_form(moved) is None
+        z = np.linalg.eigvals(moved)
+        assert np.array_equal(dense_full_spectrum(moved), z[np.lexsort((z.imag, z.real))])

@@ -9,12 +9,16 @@ logged output change:
     PYTHONPATH=src python tests/test_sweep_golden.py [case ...]
 
 With case names (for example ``xxz_tiny``) only those files are
-rewritten.  Run it, like the tests, under the default BLAS thread count: the XXZ and
-``dense-file`` rows depend on it in their last digits, and with
-``OPENBLAS_NUM_THREADS=1`` those two cases do not match the stored files.
+rewritten.  Run it, like the tests, under the default BLAS thread count: the
+XXZ rows depend on it in their last digits, and with
+``OPENBLAS_NUM_THREADS=1`` the ``xxz_tiny`` case does not match its stored
+file.  The ``dense_file`` rows do not depend on it (see
+``test_dense_file_matches_with_one_blas_thread``).
 """
 
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,6 +90,26 @@ def sweep_csv(cfg: SweepConfig) -> str:
 def test_csv_matches_stored_file(name, tmp_path):
     want = (DATA / f"{name}.csv").read_text(encoding="utf-8")
     assert sweep_csv(CASES[name](tmp_path)) == want
+
+
+def test_dense_file_matches_with_one_blas_thread():
+    # the case's open chain is centrohermitian, so every endpoint is solved
+    # in real arithmetic, and one BLAS thread must give the stored bytes too
+    import ptfidelity
+
+    src = os.path.dirname(os.path.dirname(ptfidelity.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, tempfile\n"
+            "from pathlib import Path\n"
+            "from test_sweep_golden import CASES, sweep_csv\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    sys.stdout.write(sweep_csv(CASES['dense_file'](Path(tmp))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / "dense_file.csv").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

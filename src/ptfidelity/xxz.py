@@ -22,7 +22,7 @@ orthonormal basis in which its matrix is real: its real form
 momentum-``K`` orbit states with their spin flips, one pair of basis
 vectors per orbit vector; an orbit that ``F`` maps onto itself (at L=12,
 ``F r = T2^3 r`` for ``r = 000000111111``) gives one basis vector, not a
-pair.
+pair.  ``full_sector_spectrum`` is the union of the real forms' spectra.
 
 Ground states are solved block by block, in real arithmetic.  A block's
 real form at ``gamma = 0`` is the symmetric part of its real form at every
@@ -69,7 +69,7 @@ from .fidelity import DEFAULT_EPSILON, FidelityRecord, chi_finite_difference, fi
 from .lanczos import LanczosResult, complex_symmetric_lanczos
 
 LANCZOS_BASIS_CAP = comb(28, 14)       # ~4.0e7 configurations
-DENSE_SECTOR_CAP = 5000
+DENSE_SECTOR_CAP = 5000   # L <= 14 for ground_state(method="dense") and full_sector_spectrum
 # relative weight of the random part added to a given Lanczos start vector.
 # A start vector inside one symmetry sector of a momentum block never
 # leaves it and misses a level of another sector that has crossed below:
@@ -483,7 +483,7 @@ def _norm_estimate(p: XxzParams) -> float:
 
 
 def _check_dense_cap(dim: int) -> None:
-    if dim > DENSE_SECTOR_CAP:   # checked before densifying: L=16 would take 2.6 GB
+    if dim > DENSE_SECTOR_CAP:   # guards the dense residual of method="dense": 2.6 GB at L=16
         raise DimTooLargeError(f"sector dim {dim} exceeds dense cap {DENSE_SECTOR_CAP}")
 
 
@@ -841,8 +841,11 @@ def records_to_peak_input(records, L: int) -> tuple[np.ndarray, np.ndarray]:
 def full_sector_spectrum(p: XxzParams) -> np.ndarray:
     """All sector eigenvalues, sorted by (Re, Im); spectral-portrait data.
 
-    The spin flip reverses the ascending order of the sector basis, so the
-    sector matrix is exactly centrohermitian and ``dense_full_spectrum``
-    solves its real form with LAPACK's real solver."""
+    The union of the spectra of the blocks' dense real forms (``_Block``),
+    from LAPACK's real solver, so complex eigenvalues come in exact
+    conjugate pairs.  A paired block holds both the ``+K`` and ``-K`` copy
+    of its levels, so each level appears once (see ``_t2_orbits``)."""
     _check_dense_cap(comb(p.L, p.L // 2))
-    return dense_full_spectrum(build_hamiltonian(p).to_dense())
+    w = np.concatenate([dense_full_spectrum(_block_hamiltonian(p, q).toarray())
+                        for q in range(p.L // 4 + 1)])
+    return w[np.lexsort((w.imag, w.real))]

@@ -101,6 +101,15 @@ class TestSubcommands:
         assert len(w) == 252
         assert greedy_conjugate_closure_defect(w) < 1e-9
 
+    def test_xxz_spectrum_at_L14(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run_cli("xxz-spectrum", "--jz", "1", "--gamma", "0.3",
+                       "-L", "14", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        w = np.array([complex(float(a), float(b)) for a, b in rows])
+        assert len(w) == 3432
+        assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+
     def test_xxz_scan(self, tmp_path):
         out = tmp_path / "xxz.csv"
         code = run_cli("xxz-scan", "--jz", "1.0", "--gamma", "0.0", "0.4", "3",
@@ -275,6 +284,10 @@ class TestBadInputExitCodes:
         assert run_cli("xxz-spectrum", "--jz", "1.0", "--gamma", "-1",
                        "-L", "8") == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_xxz_spectrum_above_the_dense_cap(self, capsys):
+        assert run_cli("xxz-spectrum", "--jz", "1", "--gamma", "0.3", "-L", "16") == 3
+        assert "DimTooLargeError" in capsys.readouterr().err
 
     def test_ssh_bands_negative_u(self, capsys):
         assert run_cli("ssh-bands", "--v1", "0.9", "--u", "-1", "-L", "11") == 2

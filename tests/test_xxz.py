@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from math import comb
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from scipy.linalg import block_diag
+from scipy.optimize import linear_sum_assignment
 
 import ptfidelity.xxz as xxz
 from ptfidelity import (
@@ -458,6 +460,32 @@ class TestFullSpectrum:
     def test_dense_cap(self):
         with pytest.raises(DimTooLargeError):
             full_sector_spectrum(XxzParams(jz=0.0, gamma=0.0, L=16))
+
+    @pytest.mark.parametrize("L", [4, 6, 8, 10, 12])
+    def test_matches_the_dense_sector(self, L):
+        # as multisets, against complex eigvals of the dense sector matrix;
+        # at (-1, 1.97) paired blocks hold degenerate levels
+        for jz, gamma in [(1.0, 0.3), (2.0, 0.5), (0.0, 0.0), (-1.0, 1.97)]:
+            p = XxzParams(jz=jz, gamma=gamma, L=L)
+            w = full_sector_spectrum(p)
+            ref = np.linalg.eigvals(build_hamiltonian(p).to_dense())
+            assert len(w) == comb(L, L // 2)
+            dist = abs(w[:, None] - ref[None, :])
+            rows, cols = linear_sum_assignment(dist)
+            assert dist[rows, cols].max() < 1e-10 * max(1.0, abs(ref).max())
+            # complex levels come in exact conjugate pairs
+            assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+
+    def test_builds_no_dense_sector(self):
+        p = XxzParams(jz=1.0, gamma=0.3, L=12)
+        full_sector_spectrum(p)                 # builds the blocks once per L
+        tracemalloc.start()
+        try:
+            full_sector_spectrum(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 924 ** 2 * 16             # one dense complex L=12 sector
 
 
 class TestEPBisection:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._version import VERSION
 from .errors import ConfigError, OddLError, PtfidelityError, error_text
-from .fidelity import FIDELITY_TAGS, bisect_ep, one_half_ep_test
+from .fidelity import FIDELITY_TAGS, _check_one_half_options, bisect_ep, one_half_ep_test
 from .ssh import (
     SshParams,
     _Bands,
@@ -36,7 +36,7 @@ from .sweep import (
     parse_config,
     run_sweep,
 )
-from .xxz import XxzParams, _with, full_sector_spectrum, ground_state
+from .xxz import XxzParams, _check_tol_real, _with, full_sector_spectrum, ground_state
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -162,6 +162,8 @@ def cmd_ssh_berry(args) -> int:
                 rows.append([_fmt(v1), _fmt(u),
                              _fmt(bp.value.real), _fmt(bp.value.imag),
                              bp.method, str(bp.n_k), "", change])
+            except ValueError as err:       # an invalid --nk, say
+                raise ConfigError(str(err)) from None
             except PtfidelityError as err:
                 rows.append([_fmt(v1), _fmt(u), "nan", "nan",
                              args.method, str(args.nk),
@@ -174,7 +176,7 @@ def cmd_ssh_berry(args) -> int:
 
 def cmd_ssh_edges(args) -> int:
     p = _params(SshParams, v1=args.v1, v2=args.v2, u=args.u, L=args.L)
-    result = open_boundary_spectrum(p)
+    result = _params(open_boundary_spectrum, p)
     report = {
         "params": {"v1": p.v1, "v2": p.v2, "u": p.u, "w": p.w, "L": p.L},
         "n_boundary_modes": len(result.boundary_modes),
@@ -204,6 +206,9 @@ def cmd_xxz_spectrum(args) -> int:
 def cmd_ep_locate(args) -> int:
     lo, hi = args.bracket
     schedule = args.epsilon_schedule or [1e-2, 1e-3, 1e-4]
+    # refused before any solve, not after the bisection
+    _params(_check_one_half_options, schedule, args.a, args.b)
+    _params(_check_tol_real, args.tol_real)
     if args.model == "ssh":
         base = _params(SshParams, v1=lo, v2=args.v2, u=args.u, L=args.L)
 

@@ -274,6 +274,19 @@ class OneHalfResult:
     re_f_trace: list[tuple[float, complex]] = field(default_factory=list)
 
 
+def _check_one_half_options(epsilon_schedule: Sequence[float], a: float,
+                            b: float) -> None:
+    """Raise ``ValueError`` unless the weights ``a``, ``b`` and every
+    ``epsilon_schedule`` entry are positive and finite."""
+    if not all(math.isfinite(x) and x > 0 for x in (a, b)):
+        raise ValueError(f"asymmetry weights a, b must be positive and finite, "
+                         f"got {a!r}, {b!r}")
+    bad = [eps for eps in epsilon_schedule if not (math.isfinite(eps) and eps > 0)]
+    if bad:
+        raise ValueError(f"epsilon schedule entries must be positive and finite, "
+                         f"got {bad}")
+
+
 @dataclass
 class _EndpointState:
     left: object
@@ -306,9 +319,10 @@ def one_half_ep_test(
     against ``(1/2)**n`` for ``n = 1 ... 6``, within ``5e-3``: for product
     states of independent modes the crossing count ``n`` may exceed one,
     and a value matching no small ``n`` indicates a higher-order EP.
+    Raises ``ValueError`` before any ``state_fn`` call unless ``a``, ``b``
+    and every ``epsilon_schedule`` entry are positive and finite.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("asymmetry weights a, b must be positive")
+    _check_one_half_options(epsilon_schedule, a, b)
 
     def fetch(lam):
         left, right, pt_class = state_fn(lam)

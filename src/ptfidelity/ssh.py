@@ -596,6 +596,8 @@ def complex_berry_phase(p: SshParams, band: int = -1,
     """
     if band not in (+1, -1):
         raise ValueError("band must be +1 or -1")
+    if n_k < 1:
+        raise ValueError(f"n_k must be at least 1, got {n_k}")
     if method == "numeric":
         g1 = _berry_loop(p, band, n_k)
         g2 = _berry_loop(p, band, 2 * n_k)

@@ -5,17 +5,15 @@ direction for fidelity records).  A scan line is every point with the same
 size and the same index on every axis but the last; it is the unit of
 sweep work.  ``threads`` workers share a queue of lines, the model's
 evaluator evaluates each whole line (``_Evaluator.walk``), and results are
-assembled in canonical grid order.  Along a line an XXZ point starts the
-Lanczos solve at its scan value from the previous point's ground state
-(the first point of a line, and the point after one that failed, start
-cold), and the solve of its shifted endpoint from its own ground state.
-An SSH line is evaluated stacked, every point and momentum at once, in
-blocks of at most ``LINE_BLOCK_CELLS`` cells; its values equal those of
-the one-point functions of ``ssh``.  Every random part is seeded from the
-point's own grid index, so a point depends on its line and the seed,
-never on the thread count or schedule.  Per-point failures (exceptional
-points are expected inside broken-phase scans) are recorded in-band in the
-point's ``error`` field and never abort the sweep.
+assembled in canonical grid order.  An XXZ line is walked by
+``xxz._scan_line``, the one walk of every XXZ scan line and of
+``fidelity_scan``: each point starts from the previous point's ground
+state and is seeded from the seed and its own grid index, never from the
+thread count or schedule.  An SSH line is evaluated stacked, every point
+and momentum at once, in blocks of at most ``LINE_BLOCK_CELLS`` cells; its
+values equal those of the one-point functions of ``ssh``.  Per-point
+failures (exceptional points are expected inside broken-phase scans) are
+recorded in-band in the point's ``error`` field and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ from .ssh import SshParams, _Bands, _many_body, _row_errors
 from .xxz import (
     LANCZOS_BASIS_CAP,
     XxzParams,
-    _ground_state_pair,
     _peak_value,
+    _scan_line,
     peak_and_extrapolate,
 )
 
@@ -115,6 +113,8 @@ class SweepConfig:
                 )
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
+        if self.tol_real is not None and not self.tol_real >= 0:    # NaN too
+            raise ConfigError(f"tol_real must be nonnegative, got {self.tol_real!r}")
         if self.definition not in FIDELITY_TAGS:
             raise ConfigError(
                 f"unknown definition {self.definition!r}; expected one of {FIDELITY_TAGS}"
@@ -285,20 +285,13 @@ class SweepResult:
     model: str = ""
 
 
-def _point_seed(base: int, linear_index: int) -> int:
-    return int(np.random.SeedSequence([base, linear_index]).generate_state(1)[0])
-
-
 class _Evaluator:
     """Fidelity between the ground states at a grid point and at the same
     point shifted by ``epsilon`` along the scan axis, evaluated one scan
-    line at a time by ``walk``.  The default walk goes through the line in
-    grid order: ``start`` is what the previous point returned (None for a
-    cold start, and after a point that raised), and a call returns what the
-    next point should start from.  Subclasses turn the two parameter dicts
-    into the endpoint fidelity in ``_pair``, which also sets the point's
-    endpoint PT classes, or override ``walk`` as a whole.  No evaluator
-    keeps state of its own between lines."""
+    line at a time by ``walk``.  The default walk takes one point at a
+    time: subclasses turn the two parameter dicts into the endpoint
+    fidelity in ``_pair``, which also sets the point's endpoint PT classes,
+    or override ``walk``.  No evaluator keeps state between lines."""
 
     def __init__(self, cfg: SweepConfig, L: int):
         self.cfg = cfg
@@ -307,13 +300,11 @@ class _Evaluator:
     def walk(self, line: list[PointResult]) -> None:
         """Evaluate one scan line; a point that raises records its error
         in-band and the sweep goes on."""
-        start = None
         for point in line:
             try:
-                start = self(point, start)
+                self._record(point, self._pair(point, self._shifted(point)))
             except Exception as err:  # keep the sweep alive; record in-band
                 point.error = error_text(err)
-                start = None
 
     def _shifted(self, point: PointResult) -> dict[str, float]:
         shifted = dict(point.axis_values)
@@ -327,11 +318,6 @@ class _Evaluator:
         point.chi = (chi_finite_difference(point.F, self.cfg.epsilon)
                      if chi is None else complex(chi))
         point.re_chi_density = point.chi.real / self.L
-
-    def __call__(self, point: PointResult, start=None):
-        F, state = self._pair(point, self._shifted(point), start)
-        self._record(point, F)
-        return state
 
 
 class _SshEvaluator(_Evaluator):
@@ -387,24 +373,26 @@ class _SshEvaluator(_Evaluator):
 
 
 class _XxzEvaluator(_Evaluator):
-    def __init__(self, cfg: SweepConfig, L: int):
-        super().__init__(cfg, L)
-        self.shape = tuple(ax.count for ax in cfg.axes)
+    """A whole scan line through ``xxz._scan_line``."""
 
-    def _params(self, vals: dict[str, float]) -> XxzParams:
-        merged = {**self.cfg.fixed, **vals}
-        return XxzParams(jz=merged.get("jz", 0.0),
-                         gamma=merged.get("gamma", 0.0), L=self.L)
+    def walk(self, line: list[PointResult]) -> None:
+        cfg, scan = self.cfg, self.cfg.axes[-1].name
 
-    def _pair(self, point: PointResult, shifted: dict[str, float], start):
-        cfg = self.cfg
-        seed = _point_seed(cfg.seed, np.ravel_multi_index(point.index, self.shape))
-        ga, gb, F = _ground_state_pair(
-            self._params(point.axis_values), self._params(shifted),
-            seed, seed + 1, cfg.definition, start=start, tol_real=cfg.tol_real)
-        point.pt_class_a, point.pt_class_b = ga.pt_class, gb.pt_class
-        point.matvecs = ga.matvecs + gb.matvecs
-        return F, ga.right
+        def params(lam: float) -> XxzParams:
+            v = {"jz": 0.0, "gamma": 0.0, **cfg.fixed, **line[0].axis_values, scan: lam}
+            return XxzParams(jz=v["jz"], gamma=v["gamma"], L=self.L)
+
+        first = np.ravel_multi_index(line[0].index, [ax.count for ax in cfg.axes])
+        pairs = _scan_line(params, [p.axis_values[scan] for p in line], cfg.epsilon,
+                           cfg.seed, first, cfg.definition, tol_real=cfg.tol_real)
+        for point, pair in zip(line, pairs):
+            if isinstance(pair, Exception):
+                point.error = error_text(pair)
+                continue
+            ga, gb, F = pair
+            point.pt_class_a, point.pt_class_b = ga.pt_class, gb.pt_class
+            point.matvecs = ga.matvecs + gb.matvecs
+            self._record(point, F)
 
 
 class _DenseFileEvaluator(_Evaluator):
@@ -428,12 +416,12 @@ class _DenseFileEvaluator(_Evaluator):
         pt = "broken" if classify_pt(w, self.cfg.tol_real).is_broken(g) else "unbroken"
         return left, right, pt
 
-    def _pair(self, point: PointResult, shifted: dict[str, float], start):
+    def _pair(self, point: PointResult, shifted: dict[str, float]):
         scan_axis = self.cfg.axes[-1].name
         la, ra, ca = self._ground(point.axis_values[scan_axis])
         lb, rb, cb = self._ground(shifted[scan_axis])
         point.pt_class_a, point.pt_class_b = ca, cb
-        return fidelity_variant(self.cfg.definition, la, ra, lb, rb), None
+        return fidelity_variant(self.cfg.definition, la, ra, lb, rb)
 
 
 _EVALUATORS = {"ssh": _SshEvaluator, "xxz": _XxzEvaluator,
@@ -445,8 +433,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     Scan lines are computed in parallel over ``cfg.threads`` workers, at
     most one per line and serially without a second, each line by its
-    evaluator's ``walk``: point by point in grid order, each starting from
-    what the previous point returned, or stacked for SSH.
+    evaluator's ``walk``.
     Output ordering, seeds, and therefore every emitted value are
     independent of the thread count.
     """

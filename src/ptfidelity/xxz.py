@@ -478,6 +478,11 @@ class XxzGroundState:
         return self.pt_class == "broken"
 
 
+def _check_tol_real(tol_real: float | None) -> None:
+    if tol_real is not None and not tol_real >= 0:      # NaN fails too
+        raise ValueError(f"tol_real must be nonnegative, got {tol_real!r}")
+
+
 def _norm_estimate(p: XxzParams) -> float:
     return 2.0 * p.L + abs(p.jz) * p.L + p.gamma * p.L
 
@@ -605,10 +610,12 @@ def ground_state(
     ``v0`` with no component in the block starts it cold.  ``seed`` also
     seeds any reseed from a random vector, which only an invariant subspace
     without a converged pair calls for (see ``complex_symmetric_lanczos``).
-    ``basis`` is only checked against ``p.L``.
+    ``basis`` is only checked against ``p.L``; a negative or NaN
+    ``tol_real`` raises ``ValueError``.
     """
     if method not in ("lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
+    _check_tol_real(tol_real)
     _check_basis(p, basis)
     if method == "dense":
         _check_dense_cap(comb(p.L, p.L // 2))
@@ -668,17 +675,41 @@ def _ground_state_pair(pa: XxzParams, pb: XxzParams, seed_a: int, seed_b: int,
     ``pb`` is a small shift of ``pa`` (``lam + epsilon``), so its solve
     starts from the ground state at ``pa``, an O(epsilon) perturbation of
     the one it seeks, and needs fewer Krylov steps than a random start.
-    The solve at ``pa`` starts from ``start`` (a scan passes the ground
-    state of its previous point), or cold without one.  ``seed_a`` seeds
-    the random start, or random part of the start, at ``pa``, and
-    ``seed_b`` the random part of the start at ``pb``; each also seeds any
-    reseed at its endpoint.  ``solve`` goes to ``ground_state``.  A pair
-    depends on nothing but its arguments.
+    The solve at ``pa`` starts from ``start``, or cold without one.
+    ``seed_a`` and ``seed_b`` seed the random start or random part of the
+    start, and any reseed, at ``pa`` and ``pb``.  ``solve`` goes to
+    ``ground_state``.  A pair depends on nothing but its arguments.
     """
     ga = ground_state(pa, seed=seed_a, v0=start, **solve)
     gb = ground_state(pb, seed=seed_b, v0=ga.right, **solve)
     return ga, gb, fidelity_variant(definition_tag, ga.left, ga.right,
                                     gb.left, gb.right)
+
+
+def _point_seed(base: int, linear_index: int) -> int:
+    return int(np.random.SeedSequence([base, linear_index]).generate_state(1)[0])
+
+
+def _scan_line(params, values, epsilon: float, seed: int, first: int,
+               definition_tag: str, **solve):
+    """The one walk of an XXZ scan line: for each ``lam`` of ``values`` in
+    order, yield ``_ground_state_pair``'s ``(ga, gb, F)`` at ``params(lam)``
+    and ``params(lam + epsilon)``, or the exception the point raised.  A
+    point starts from the ground state of the previous point, cold at the
+    first and after a point that raised, and point ``i`` is seeded from
+    ``_point_seed(seed, first + i)``, ``first`` being the grid index of the
+    line's first point.  ``solve`` goes to ``ground_state``."""
+    start = None
+    for i, lam in enumerate(values):
+        s = _point_seed(seed, first + i)
+        try:
+            pair = _ground_state_pair(params(lam), params(lam + epsilon), s, s + 1,
+                                      definition_tag, start=start, **solve)
+        except Exception as err:  # the caller records or raises it
+            start, pair = None, err
+        else:
+            start = pair[0].right
+        yield pair
 
 
 def fidelity_scan(
@@ -698,14 +729,10 @@ def fidelity_scan(
 
     Each grid value compares the tracked ground states at ``lam`` and
     ``lam + epsilon``; records whose endpoint PT classes differ straddle
-    an exceptional point.  The grid is one scan line, walked in order, as
-    in a sweep: the Lanczos solve at ``lam`` starts from the ground state at
-    the previous grid value (the first value, and the one after a failed
-    value, start cold), and the solve at ``lam + epsilon`` from the ground
-    state at ``lam``.  Random parts are seeded from ``seed`` and the grid
-    index, so a scan depends only on its arguments, but its points are not
-    independent: split a grid into separate scans and the points after
-    each split start cold.
+    an exceptional point.  The grid is one scan line, walked and seeded by
+    ``_scan_line`` from grid index 0 as in a sweep, so a scan equals the
+    one-axis XXZ sweep with the same seed; split a grid into separate scans
+    and the points after each split start cold and are seeded anew.
     With ``on_error="record"`` solver failures (e.g. stalled convergence
     next to an exceptional point) are stored in the record's ``error``
     field instead of aborting the scan.
@@ -713,27 +740,22 @@ def fidelity_scan(
     if on_error not in ("raise", "record"):
         raise ValueError("on_error must be 'raise' or 'record'")
     grid = np.asarray(grid, dtype=float)
-    solver_options = solver_options or {}
     records: list[FidelityRecord] = []
-    start = None
-    for i, lam in enumerate(grid):
+    pairs = _scan_line(lambda lam: _with(p, direction, lam), grid, epsilon, seed,
+                       0, definition_tag, method=method, tol_real=tol_real,
+                       **(solver_options or {}))
+    for lam, pair in zip(grid, pairs):
         record = FidelityRecord(lam=float(lam), epsilon=float(epsilon),
                                 F=0j, chi_fd=0j, definition_tag=definition_tag)
-        try:
-            ga, gb, F = _ground_state_pair(
-                _with(p, direction, lam), _with(p, direction, lam + epsilon),
-                seed + 2 * i, seed + 2 * i + 1, definition_tag, start=start,
-                method=method, tol_real=tol_real, **solver_options)
-            start = ga.right
-            record.F = complex(F)
-            record.chi_fd = chi_finite_difference(F, epsilon)
+        if isinstance(pair, Exception):
+            if on_error == "raise":
+                raise pair
+            record.error = error_text(pair)
+        else:
+            ga, gb, F = pair
+            record.F, record.chi_fd = complex(F), chi_finite_difference(F, epsilon)
             record.pt_class_a, record.pt_class_b = ga.pt_class, gb.pt_class
             record.energy_a, record.energy_b = ga.energy, gb.energy
-        except Exception as err:
-            if on_error == "raise":
-                raise
-            record.error = error_text(err)
-            start = None
         records.append(record)
     return records
 

@@ -343,6 +343,50 @@ class TestBadInputExitCodes:
         assert "count" in capsys.readouterr().err
         assert not out.exists()
 
+    # every case fails in its first line of work without a check up front:
+    # after the bisection, with a NoTransitionError, over a reversed window,
+    # with an all-"broken" sweep, or with a zero phase written for n_k <= 0
+    @pytest.mark.parametrize("argv", [
+        ("ep-locate", "--model", "ssh", "--u", "0.2", "--bracket", "0.5", "1.0",
+         "--a", "-1"),
+        ("ep-locate", "--model", "xxz", "--jz", "1", "-L", "8",
+         "--bracket", "0", "0.6", "--b", "0"),
+        ("ep-locate", "--model", "ssh", "--u", "0.2", "--bracket", "0.5", "1.0",
+         "--epsilon-schedule", "0"),
+        ("ep-locate", "--model", "xxz", "--jz", "1", "-L", "8",
+         "--bracket", "0", "0.6", "--epsilon-schedule", "-0.01"),
+        ("ep-locate", "--model", "xxz", "--jz", "1", "-L", "8",
+         "--bracket", "0", "0.6", "--epsilon-schedule", "1e-2", "nan"),
+        ("ep-locate", "--model", "xxz", "--jz", "1", "-L", "8",
+         "--bracket", "0", "0.6", "--tol-real", "-1"),
+        ("xxz-scan", "--jz", "1", "--gamma", "0", "0.4", "3", "-L", "6",
+         "--tol-real", "-1"),
+        ("xxz-scan", "--jz", "1", "--gamma", "0", "0.4", "3", "-L", "6",
+         "--tol-real", "nan"),
+        ("ssh-berry", "--v1", "0.5", "--u", "0.1", "-L", "8", "--nk", "0"),
+        ("ssh-berry", "--v1", "0.5", "--u", "0.1", "-L", "8", "--nk", "-3"),
+        ("ssh-edges", "--v1", "0.5", "-L", "2"),
+    ], ids=["ssh-negative-a", "xxz-zero-b", "ssh-zero-epsilon",
+            "xxz-negative-epsilon", "xxz-nan-epsilon", "ep-locate-negative-tol-real",
+            "xxz-scan-negative-tol-real", "xxz-scan-nan-tol-real", "berry-zero-nk",
+            "berry-negative-nk", "edges-L2"])
+    def test_invalid_value_is_refused_before_any_solve(self, argv, monkeypatch,
+                                                       tmp_path, capsys):
+        from ptfidelity import cli, xxz
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the arguments were checked")
+
+        for module, name in ((cli, "ground_state"), (xxz, "ground_state"),
+                             (cli, "_Bands")):
+            monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option", ["--seed", "--tol-real"])
     def test_ssh_scan_has_no_solver_options(self, option, tmp_path):
         # the closed-form SSH sweep would silently ignore either value

@@ -318,6 +318,22 @@ class TestOneHalf:
         with pytest.raises(NoTransitionError):
             one_half_ep_test(self._ssh_block_state_fn(k, p), 0.4, 0.6)
 
+    @pytest.mark.parametrize("options", [
+        {"epsilon_schedule": (1e-2, 0.0)},
+        {"epsilon_schedule": (-1e-3,)},
+        {"epsilon_schedule": (1e-2, float("nan"))},
+        {"epsilon_schedule": (float("inf"),)},
+        {"a": -1.0},
+        {"b": 0.0},
+        {"a": float("nan")},
+    ], ids=["zero", "negative", "nan", "inf", "negative-a", "zero-b", "nan-a"])
+    def test_invalid_option_raises_before_any_state(self, options):
+        def state_fn(lam):
+            raise AssertionError("state_fn called before the options were checked")
+
+        with pytest.raises(ValueError):
+            one_half_ep_test(state_fn, 0.4, 0.6, **options)
+
 
 class TestBisectEP:
     def test_brackets_known_root(self):

@@ -436,6 +436,13 @@ class TestBerryPhase:
         with pytest.raises(GridCrossesEPError):
             complex_berry_phase(p, band=-1, n_k=4096)
 
+    @pytest.mark.parametrize("method", ["numeric", "analytic"])
+    @pytest.mark.parametrize("n_k", [0, -3])
+    def test_grid_without_points_raises(self, method, n_k):
+        with pytest.raises(ValueError, match="n_k"):
+            complex_berry_phase(SshParams(v1=0.5, v2=0.0, u=0.1, L=8),
+                                method=method, n_k=n_k)
+
     def test_im_diverges_toward_boundary(self):
         vals = []
         for u in (0.35, 0.42, 0.47):

@@ -100,6 +100,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
 
+    @pytest.mark.parametrize("tol_real", ["-1", "nan"])
+    def test_negative_or_nan_tol_real_is_refused(self, tol_real):
+        cfg = tiny_xxz_config()
+        cfg.tol_real = float(tol_real)
+        with pytest.raises(ConfigError, match="tol_real"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="tol_real"):
+            parse_config(cfg.to_text())
+
 
 class TestRunSweep:
     def test_ssh_grid_values(self):
@@ -557,17 +566,17 @@ class TestScanLineWarmStart:
                                               (10, -2.0, 0.7888430440)])
     def test_line_across_a_level_crossing_matches_dense(self, monkeypatch, L, jz,
                                                         gamma_c):
-        from ptfidelity import sweep
+        from ptfidelity import xxz
         from ptfidelity.xxz import XxzParams, ground_state
 
-        solved, solve_pair = [], sweep._ground_state_pair
+        solved, solve_pair = [], xxz._ground_state_pair
 
         def pair(*args, **kwargs):
             ga, gb, F = solve_pair(*args, **kwargs)
             solved.extend([ga, gb])
             return ga, gb, F
 
-        monkeypatch.setattr(sweep, "_ground_state_pair", pair)
+        monkeypatch.setattr(xxz, "_ground_state_pair", pair)
         cfg = SweepConfig(model="xxz", axes=[Axis("gamma", gamma_c - 0.0093,
                                                   gamma_c + 0.0067, 9)],
                           fixed={"jz": jz}, sizes=[L], seed=2)
@@ -605,8 +614,7 @@ class TestScanLineWarmStart:
         assert [starts[g] is None for g in grid[[0, 1, 3, 4]]] == cold
 
     def test_warm_line_takes_fewer_matvecs_than_cold_points(self):
-        from ptfidelity.sweep import _point_seed
-        from ptfidelity.xxz import XxzParams, _ground_state_pair
+        from ptfidelity.xxz import XxzParams, _ground_state_pair, _point_seed
 
         cfg = SweepConfig(model="xxz", axes=[Axis("gamma", 0.0, 0.4, 25)],
                           fixed={"jz": 1.0}, sizes=[10], seed=0)
@@ -623,6 +631,65 @@ class TestScanLineWarmStart:
                 seed, seed + 1, cfg.definition)
             cold += ga.matvecs + gb.matvecs
         assert sum(p.matvecs for p in result.points) < cold
+
+
+class TestOneScanWalk:
+    """``fidelity_scan`` and the sweep's XXZ lines are one walk with one
+    seed rule."""
+
+    @pytest.mark.parametrize("direction,fixed,L,seed,axis", [
+        ("gamma", 1.0, 8, 0, (0.0, 0.4, 9)),
+        ("gamma", -1.0, 10, 7, (-0.02, 0.3, 8)),    # in-band errors below 0
+        ("gamma", 2.0, 6, 13, (0.1, 0.9, 7)),
+        ("jz", 0.5, 8, 3, (-1.45, -0.95, 6)),
+    ])
+    def test_fidelity_scan_equals_the_one_axis_sweep(self, direction, fixed, L,
+                                                     seed, axis):
+        from ptfidelity.xxz import XxzParams, fidelity_scan
+
+        other = "jz" if direction == "gamma" else "gamma"
+        cfg = SweepConfig(model="xxz", axes=[Axis(direction, *axis)],
+                          fixed={other: fixed}, sizes=[L], seed=seed)
+        points = run_sweep(cfg).points
+        p = XxzParams(L=L, **{other: fixed, direction: 0.0})
+        recs = fidelity_scan(p, direction, cfg.axes[0].values(), seed=seed,
+                             on_error="record")
+        assert [(r.F, r.chi_fd, r.pt_class_a, r.pt_class_b, r.error) for r in recs] \
+            == [(q.F, q.chi, q.pt_class_a, q.pt_class_b, q.error) for q in points]
+        if direction == "gamma" and axis[0] < 0:
+            assert recs[0].error == "ValueError: gamma must be nonnegative"
+            assert not recs[-1].error
+
+    def test_two_axis_sweep_equals_an_explicit_walk(self):
+        # point (j, k) of size L is seeded from its ravel index j * count + k
+        # in that size's grid, and starts from the ground state of point
+        # (j, k - 1) unless that point raised
+        from ptfidelity.errors import error_text
+        from ptfidelity.xxz import XxzParams, _ground_state_pair, _point_seed
+
+        cfg = SweepConfig(model="xxz", axes=[Axis("jz", 0.5, 1.5, 3),
+                                             Axis("gamma", -0.03, 0.3, 5)],
+                          sizes=[6, 8], seed=5, threads=2)
+        want = []
+        for L in cfg.sizes:
+            for j, jz in enumerate(cfg.axes[0].values()):
+                start = None
+                for k, gamma in enumerate(cfg.axes[1].values()):
+                    s = _point_seed(cfg.seed, j * cfg.axes[1].count + k)
+                    try:
+                        ga, gb, F = _ground_state_pair(
+                            XxzParams(jz=jz, gamma=gamma, L=L),
+                            XxzParams(jz=jz, gamma=gamma + cfg.epsilon, L=L),
+                            s, s + 1, cfg.definition, start=start)
+                    except ValueError as err:
+                        want.append((0j, "", "", error_text(err)))
+                        start = None
+                        continue
+                    want.append((complex(F), ga.pt_class, gb.pt_class, ""))
+                    start = ga.right
+        got = [(q.F, q.pt_class_a, q.pt_class_b, q.error) for q in run_sweep(cfg).points]
+        assert got == want
+        assert sum(bool(e) for *_, e in got) == 6
 
 
 class TestPointObservability:
@@ -676,18 +743,18 @@ class TestLineExtractions:
         # the solves of a warm-started scan line take fewer projected
         # eigensolves than one every RITZ_INTERVAL steps would, and still
         # find the dense ground energy at every endpoint
-        from ptfidelity import sweep
+        from ptfidelity import xxz
         from ptfidelity.lanczos import RITZ_INTERVAL
         from ptfidelity.xxz import ground_state
 
-        solved, solve_pair = [], sweep._ground_state_pair
+        solved, solve_pair = [], xxz._ground_state_pair
 
         def pair(*args, **kwargs):
             ga, gb, F = solve_pair(*args, **kwargs)
             solved.extend([ga, gb])
             return ga, gb, F
 
-        monkeypatch.setattr(sweep, "_ground_state_pair", pair)
+        monkeypatch.setattr(xxz, "_ground_state_pair", pair)
         cfg = SweepConfig(model="xxz", axes=[Axis("gamma", 0.0, 0.4, 25)],
                           fixed={"jz": 1.0}, sizes=[10], seed=0)
         result = run_sweep(cfg)

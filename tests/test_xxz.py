@@ -200,6 +200,13 @@ class TestSectorSymmetry:
 
 
 class TestGroundState:
+    @pytest.mark.parametrize("tol_real", [-1.0, float("nan")])
+    @pytest.mark.parametrize("method", ["lanczos", "dense"])
+    def test_negative_or_nan_tol_real_raises(self, tol_real, method):
+        with pytest.raises(ValueError, match="tol_real"):
+            ground_state(XxzParams(jz=1.0, gamma=0.1, L=6), method=method,
+                         tol_real=tol_real)
+
     def test_hermitian_unbroken(self):
         g = ground_state(XxzParams(jz=0.5, gamma=0.0, L=12))
         assert g.pt_class == "unbroken"

@@ -21,6 +21,7 @@ complex conjugation, through its real form (see ``_pt_real_form``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +117,10 @@ def ground_state_index(eigenvalues: np.ndarray) -> int:
     """Smallest-Re eigenvalue index, ties resolved toward largest Im; real
     parts within ``re_tie_tolerance`` of the smallest count as tied."""
     w = np.asarray(eigenvalues)
-    tied = np.nonzero(w.real <= w.real.min() + re_tie_tolerance(w))[0]
+    re = w.real
+    tied = np.flatnonzero(re <= re.min() + re_tie_tolerance(w))
+    if len(tied) == 1:
+        return int(tied[0])
     return int(tied[np.argmax(w.imag[tied])])
 
 
@@ -135,9 +139,15 @@ def gauge_factor(v: np.ndarray):
     gauge whichever solver produced the vector.
     """
     mag = np.abs(v)
-    first = np.argmax(mag >= (1 - 1e-8) * mag.max(axis=0), axis=0)
-    pivot = np.take_along_axis(v, np.expand_dims(first, 0), 0)[0]
-    return np.linalg.norm(mag, axis=0) * (pivot / np.abs(pivot))
+    tied = mag >= (1 - 1e-8) * mag.max(axis=0)
+    if mag.ndim == 1:       # the column case below, without its indexing
+        pivot = v[np.argmax(tied)]
+        norm = math.sqrt(np.add.reduce(mag * mag))
+    else:
+        first = np.argmax(tied, axis=0)
+        pivot = np.take_along_axis(v, np.expand_dims(first, 0), 0)[0]
+        norm = np.linalg.norm(mag, axis=0)
+    return norm * (pivot / np.abs(pivot))
 
 
 def _defective(overlap: float, energy) -> DefectiveMatrixError:
@@ -156,14 +166,16 @@ def _shifted_lu(A, shift, pivot_floor):
     Pivots below ``pivot_floor`` are raised to it, as LAPACK's inverse
     iteration does, so an exactly singular shift still gives the
     eigenvector."""
-    real = np.isrealobj(A) and np.imag(shift) == 0
+    real = np.isrealobj(A) and shift.imag == 0
     dtype, getrf, getrs = ((float, dgetrf, dgetrs) if real
                            else (complex, zgetrf, zgetrs))
     shifted = np.array(A, dtype=dtype, order="F")
-    shifted.flat[::len(A) + 1] -= np.real(shift) if real else shift
+    # the diagonal as a strided view: ravel of an F-ordered array keeps its memory
+    shifted.ravel(order="K")[::len(A) + 1] -= shift.real if real else shift
     lu, piv, _ = getrf(shifted, overwrite_a=True)
-    small = np.flatnonzero(np.abs(lu.diagonal()) < pivot_floor)
-    lu[small, small] = pivot_floor
+    small = np.abs(lu.diagonal()) < pivot_floor
+    if small.any():
+        lu[small, small] = pivot_floor
     return lu, piv, getrs
 
 

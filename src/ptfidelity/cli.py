@@ -206,7 +206,21 @@ def cmd_xxz_spectrum(args) -> int:
 def cmd_ep_locate(args) -> int:
     lo, hi = args.bracket
     schedule = args.epsilon_schedule or [1e-2, 1e-3, 1e-4]
-    # refused before any solve, not after the bisection
+    # refused before any solve, not after the bisection.  The options of one
+    # model, with their defaults: the other refuses them, as it would ignore
+    # them, so they default to None in the parser
+    own = {"ssh": {"u": 0.0, "v2": 0.0},
+           "xxz": {"jz": 0.0, "gamma": 0.0, "direction": "gamma", "tol_real": None}}
+    other = "xxz" if args.model == "ssh" else "ssh"
+    given = [f"--{n.replace('_', '-')}" for n in own[other] if getattr(args, n) is not None]
+    if given:
+        raise ConfigError(f"{', '.join(given)} not taken with --model {args.model}")
+    defaults = {**own[args.model], "L": 101 if args.model == "ssh" else 10}
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    # solver counters, summed over the distinct solves; 0 for SSH
+    counters = ("matvecs", "iterations", "extractions")
     _params(_check_one_half_options, schedule, args.a, args.b)
     _params(_check_tol_real, args.tol_real)
     if args.model == "ssh":
@@ -220,7 +234,7 @@ def cmd_ep_locate(args) -> int:
         def point(v1):
             bands = _Bands(replace(base, v1=v1))
             n = int(np.sum(bands.delta < 0))
-            return bands, None, str(n), n != n_lo, 1.0, 0
+            return bands, None, str(n), n != n_lo, 1.0, dict.fromkeys(counters, 0)
 
         n_lo = int(np.sum(_Bands(base).delta < 0))
 
@@ -242,7 +256,8 @@ def cmd_ep_locate(args) -> int:
             g = ground_state(_with(base, args.direction, x), seed=args.seed,
                              v0=None if near is None else solved[near][1],
                              tol_real=args.tol_real)
-            return g.left, g.right, g.pt_class, g.is_broken, g.condition**2, g.matvecs
+            return (g.left, g.right, g.pt_class, g.is_broken, g.condition**2,
+                    {name: getattr(g, name) for name in counters})
 
         fid_fn = None
 
@@ -288,7 +303,7 @@ def cmd_ep_locate(args) -> int:
         "crossing_momenta": crossing,
         "probes": probes,
         "solves": len(solved),
-        "matvecs": sum(st[5] for st in solved.values()),
+        **{name: sum(st[5][name] for st in solved.values()) for name in counters},
     }
     _write_json(args.out, report)
     return 0
@@ -350,22 +365,23 @@ def build_parser() -> argparse.ArgumentParser:
                  "locate a PT transition (ITP bracket search) and run the "
                  "one-half test")
     _add_solver(ep, "Lanczos seed of the first, cold XXZ solve and of the "
-                    "random part of every warm start after it")
+                    "random part of every warm start after it (SSH ignores it)")
     ep.add_argument("--model", choices=("ssh", "xxz"), required=True)
     ep.add_argument("--bracket", type=float, nargs=2, required=True)
-    ep.add_argument("--direction", choices=("gamma", "jz"), default="gamma",
-                    help="XXZ scan parameter (SSH always scans v1)")
+    ep.add_argument("--direction", choices=("gamma", "jz"), default=None,
+                    help="XXZ scan parameter (default gamma; SSH always scans v1)")
     ep.add_argument("--tol", type=float, default=1e-6,
                     help="width of the located bracket, hi - lo <= tol "
                          "(not a number of halvings; default 1e-6)")
     ep.add_argument("--a", type=float, default=0.5)
     ep.add_argument("--b", type=float, default=0.5)
     ep.add_argument("--epsilon-schedule", type=float, nargs="+", default=None)
-    ep.add_argument("--v2", type=float, default=0.0)
-    ep.add_argument("--u", type=float, default=0.0)
-    ep.add_argument("--jz", type=float, default=0.0)
-    ep.add_argument("--gamma", type=float, default=0.0)
-    ep.add_argument("-L", type=int, default=101)
+    ep.add_argument("--v2", type=float, default=None, help="SSH only (default 0)")
+    ep.add_argument("--u", type=float, default=None, help="SSH only (default 0)")
+    ep.add_argument("--jz", type=float, default=None, help="XXZ only (default 0)")
+    ep.add_argument("--gamma", type=float, default=None, help="XXZ only (default 0)")
+    ep.add_argument("-L", type=int, default=None,
+                    help="chain size (default 101 for SSH, 10 for XXZ)")
 
     return parser
 

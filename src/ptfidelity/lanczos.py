@@ -38,6 +38,7 @@ fresh random vector.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,14 @@ from .errors import NoConvergenceError
 # Krylov vectors kept per cycle: large enough that the sector ground states
 # of the XXZ ring converge in one or two cycles up to L=20.  A Ritz
 # extraction costs O(m^3) on the dense m x m projection, and it is not cheap
-# next to a sparse matvec.  eigvals of a real T takes 25 us at m=10, 73 us
-# at m=20, 165 us at m=30, 0.30 ms at m=40 and 2.1-2.5 ms at m=80; of a
-# complex T 53 us, 0.21 ms, 0.52 ms, 0.95 ms and 5.9 ms (2.2-3.2x the real
-# one).  The Ritz vector takes 30-80 us up to m=40, while one matvec takes
-# 6.3 us in the 52-dim L=10 K=0 block, 7.3 us in the 160-dim L=12 one and
-# 5.8 us in the real form of the whole 252-dim L=10 sector, nearly all of it
-# scipy's dispatch (one core of a shared 2-vCPU Xeon host, OpenBLAS on one
-# thread).  For small blocks the extractions, not the matvecs, set the cost
-# of a solve
+# next to a sparse matvec.  eigvals of a real upper Hessenberg T takes 20 us
+# at m=10, 53 us at m=20, 0.12 ms at m=30, 0.21 ms at m=40 and 1.8 ms at
+# m=80; of a complex T 43 us, 0.18 ms, 0.42 ms, 0.75 ms and 4.6 ms (2.1-3.6x
+# the real one).  The Ritz vector takes 20-48 us up to m=40, while one
+# matvec takes 3.2 us in the 52-dim L=10 K=0 block, 3.8 us in the 160-dim
+# L=12 one and 5.6 us in the 492-dim L=14 one, 1.5-2.4 us of it scipy's
+# dispatch (one core of a shared 2-vCPU Xeon host, OpenBLAS on one thread).
+# For small blocks the extractions, not the matvecs, set the cost of a solve
 KRYLOV_CAP = 80
 # Krylov steps to the first Ritz extraction of a cycle; later extractions
 # are placed by the Ritz estimate, at most twice this far apart
@@ -195,16 +195,13 @@ def _ritz_vector(T, theta):
     first (3e-14, then 5e-8, for a pair split by 3e-7 in a 20-dim L=8
     block).
     """
-    lu, piv, getrs = _shifted_lu(T, theta, np.finfo(float).eps * np.abs(T).max() or 1.0)
-    y = np.ones(len(T), dtype=lu.dtype)
-    best = best_resid = None
-    for _ in range(2):
-        y, _ = getrs(lu, piv, y, overwrite_b=True)
-        y /= np.linalg.norm(y)
-        resid = np.linalg.norm(T @ y - theta * y)
-        if best is None or resid < best_resid:
-            best, best_resid = y.copy(), resid
-    return best
+    lu, piv, getrs = _shifted_lu(T, theta, math.ulp(1.0) * np.abs(T).max() or 1.0)
+    first = getrs(lu, piv, np.ones(len(T), dtype=lu.dtype), overwrite_b=True)[0]
+    first /= np.linalg.norm(first)
+    second = getrs(lu, piv, first)[0]
+    second /= np.linalg.norm(second)
+    # min keeps the first iterate on a tie or a NaN residual
+    return min(first, second, key=lambda y: np.linalg.norm(T @ y - theta * y))
 
 
 def _steps_ahead(estimate, previous, steps, tol_resid, longest):
@@ -257,7 +254,7 @@ def _cycle(apply, seed, basis, T, budget, tol_resid):
         T[:m, m - 1] = coeffs
         t_max = max(t_max, abs(coeffs[m - 1]))
 
-        nw = np.sqrt(np.vdot(w, w).real)
+        nw = math.sqrt(np.vdot(w, w).real)
         if m == 1:
             prev_estimate = nw / np.linalg.norm(V[0])
         invariant = nw <= 1e-13 * max(t_max, 1.0)

@@ -264,27 +264,29 @@ class _Block:
     real, with ``X`` symmetric and ``I`` the Ising diagonal: ``J``-symmetric
     for ``J = diag(1, -1)`` (split at ``n_plus``), and not symmetric.
     ``exchange``, ``ising`` and ``staggered`` are its aligned data arrays on
-    one CSR pattern; the form at ``(jz, gamma)`` has data
-    ``exchange + jz * ising + gamma * staggered``.
+    one CSR pattern, ``pattern`` (which holds ``exchange``); the form at
+    ``(jz, gamma)`` has data ``exchange + jz * ising + gamma * staggered``.
     """
 
     q: int
     basis: sparse.csr_matrix
     basis_h: sparse.csr_matrix
     n_plus: int
-    indices: np.ndarray
-    indptr: np.ndarray
+    pattern: sparse.csr_matrix
     exchange: np.ndarray
     ising: np.ndarray
     staggered: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.indptr) - 1
+        return self.pattern.shape[0]
 
     def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
-        return sparse.csr_matrix((data, self.indices, self.indptr),
-                                 shape=(self.dim, self.dim))
+        # a CSR matrix built from another shares its arrays unchecked, which
+        # is a third of the cost of building one from (data, indices, indptr)
+        out = sparse.csr_matrix(self.pattern)
+        out.data = data
+        return out
 
 
 # entries below this size in a block's basis or real form are rounding
@@ -374,14 +376,13 @@ def _block(L: int, q: int) -> _Block:
     data = [np.where(abs(d) < _ROUNDING, 0.0, d) for d in data]
     used = (data[0] != 0) | (data[1] != 0) | (data[2] != 0)
     r, s = np.divmod(cell[used], dim)
-    out = _Block(
-        q=q, basis=basis, basis_h=basis_h, n_plus=n_plus,
-        indices=s.astype(np.int32),
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(r, minlength=dim))]
-                              ).astype(np.int32),
-        exchange=data[0][used], ising=data[1][used], staggered=data[2][used],
-    )
-    for a in (out.indices, out.indptr, out.exchange, out.ising, out.staggered):
+    exchange = data[0][used]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=dim))])
+    pattern = sparse.csr_matrix(
+        (exchange, s.astype(np.int32), indptr.astype(np.int32)), shape=(dim, dim))
+    out = _Block(q=q, basis=basis, basis_h=basis_h, n_plus=n_plus, pattern=pattern,
+                 exchange=exchange, ising=data[1][used], staggered=data[2][used])
+    for a in (pattern.indices, pattern.indptr, out.exchange, out.ising, out.staggered):
         a.flags.writeable = False
     return out
 
@@ -630,12 +631,12 @@ def ground_state(
             return LanczosResult(complex(w[g]), u, residual, 0, 0)
         block = _block(p.L, q)
         u0 = None if v0 is None else _theta_real_start(block, v0)
-        if u0 is None or not np.linalg.norm(u0) > 0:
+        norm = 0.0 if u0 is None else np.linalg.norm(u0)
+        if not norm > 0:
             u0 = rng.standard_normal(block.dim)
         else:
             noise = rng.standard_normal(block.dim)
-            u0 = (u0 / np.linalg.norm(u0)
-                  + START_NOISE * noise / np.linalg.norm(noise))
+            u0 = u0 / norm + START_NOISE * noise / np.linalg.norm(noise)
         return complex_symmetric_lanczos(R, block.dim, v0=u0, max_iter=max_iter,
                                          tol_resid=tol_resid, rng=rng)
 

@@ -241,6 +241,17 @@ class TestWarmStartedEpLocate:
         assert report["n_crossings"] == 1
         assert report["solves"] == len(report["probes"]) + 6
 
+    def test_xxz_default_size_is_ten(self, tmp_path, dense_ep_bracket):
+        # without -L the XXZ locator runs the xxz-scan default L=10, not the
+        # SSH default L=101 (an odd chain, which it would refuse)
+        out = tmp_path / "ep.json"
+        assert run_cli("ep-locate", "--model", "xxz", "--jz", "1.0", "--bracket",
+                       "0.0", "0.6", "--tol", "1e-9", "--out", str(out)) == 0
+        lo, hi = json.loads(out.read_text())["bracket"]
+        d_lo, d_hi = dense_ep_bracket(10, "gamma")
+        assert hi - lo <= 1e-9
+        assert lo <= d_hi and d_lo <= hi
+
     @pytest.mark.parametrize("L", [8, 10, 12])
     @pytest.mark.parametrize("direction", ["gamma", "jz"])
     def test_probe_classes_do_not_depend_on_the_seed(self, L, direction, tmp_path):
@@ -265,6 +276,31 @@ class TestWarmStartedEpLocate:
         assert report["matvecs"] == sum(m for _, m in solved)
         # the same points, each from a cold random start
         assert report["matvecs"] < sum(ground_state(p).matvecs for p, _ in solved)
+
+    def test_solver_counts_sum_the_distinct_solves(self, tmp_path, monkeypatch):
+        solved = []
+
+        def recorded(p, **options):
+            g = ground_state(p, **options)
+            solved.append(g)
+            return g
+
+        monkeypatch.setattr("ptfidelity.cli.ground_state", recorded)
+        report = ep_locate_xxz(tmp_path, 10, "gamma")
+        assert len(solved) == report["solves"]
+        for name in ("iterations", "matvecs", "extractions"):
+            assert report[name] == sum(getattr(g, name) for g in solved) > 0
+        # every step is a matvec; the true-residual checks add the rest
+        assert report["iterations"] < report["matvecs"]
+
+    def test_ssh_reports_no_solver_counts(self, tmp_path):
+        # also: SSH takes and ignores --seed, and -L defaults to 101
+        out = tmp_path / "ep.json"
+        assert run_cli("ep-locate", "--model", "ssh", "--u", "0.2", "--bracket",
+                       "1.08", "1.13", "--seed", "3", "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        for name in ("iterations", "matvecs", "extractions"):
+            assert report[name] == 0
 
     def test_ssh_reports_no_matvecs(self, tmp_path):
         out = tmp_path / "ep.json"
@@ -366,10 +402,24 @@ class TestBadInputExitCodes:
         ("ssh-berry", "--v1", "0.5", "--u", "0.1", "-L", "8", "--nk", "0"),
         ("ssh-berry", "--v1", "0.5", "--u", "0.1", "-L", "8", "--nk", "-3"),
         ("ssh-edges", "--v1", "0.5", "-L", "2"),
+        # an option of the other model, which that model would ignore
+        ("ep-locate", "--model", "xxz", "--jz", "1", "-L", "8",
+         "--bracket", "0", "0.6", "--u", "5"),
+        ("ep-locate", "--model", "xxz", "--jz", "1", "-L", "8",
+         "--bracket", "0", "0.6", "--v2", "3"),
+        ("ep-locate", "--model", "ssh", "--u", "0.2", "--bracket", "0.5", "1.0",
+         "--jz", "7"),
+        ("ep-locate", "--model", "ssh", "--u", "0.2", "--bracket", "0.5", "1.0",
+         "--gamma", "3"),
+        ("ep-locate", "--model", "ssh", "--u", "0.2", "--bracket", "0.5", "1.0",
+         "--direction", "jz"),
+        ("ep-locate", "--model", "ssh", "--u", "0.2", "--bracket", "0.5", "1.0",
+         "--tol-real", "5"),
     ], ids=["ssh-negative-a", "xxz-zero-b", "ssh-zero-epsilon",
             "xxz-negative-epsilon", "xxz-nan-epsilon", "ep-locate-negative-tol-real",
             "xxz-scan-negative-tol-real", "xxz-scan-nan-tol-real", "berry-zero-nk",
-            "berry-negative-nk", "edges-L2"])
+            "berry-negative-nk", "edges-L2", "xxz-u", "xxz-v2", "ssh-jz", "ssh-gamma",
+            "ssh-direction", "ssh-tol-real"])
     def test_invalid_value_is_refused_before_any_solve(self, argv, monkeypatch,
                                                        tmp_path, capsys):
         from ptfidelity import cli, xxz

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 from scipy.special import ellipk, elliprf, elliprj
@@ -44,6 +45,10 @@ class SshParams:
     L: int = 101
 
     def __post_init__(self):
+        # NaN passes the sign checks below; written out, as a sweep builds two per point
+        if not (isfinite(self.v1) and isfinite(self.v2) and isfinite(self.u)
+                and isfinite(self.w)):
+            raise ValueError("couplings must be finite")
         if self.w <= 0:
             raise ValueError("w must be positive (energy unit)")
         if self.u < 0:

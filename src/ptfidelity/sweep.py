@@ -3,11 +3,11 @@
 A sweep walks the Cartesian product of its axes (last axis is the scan
 direction for fidelity records).  A scan line is every point with the same
 size and the same index on every axis but the last; it is the unit of
-sweep work.  ``threads`` workers share a queue of lines, the model's
-evaluator evaluates each whole line (``_Evaluator.walk``), and results are
-assembled in canonical grid order.  An XXZ line is walked by
-``xxz._scan_line``, the one walk of every XXZ scan line and of
-``fidelity_scan``: each point starts from the previous point's ground
+sweep work.  ``threads`` workers share a queue of lines, the model's line
+function (``_ssh_line``, ``_xxz_line`` or ``_dense_line``) evaluates each
+whole line, and results are assembled in canonical grid order.  An XXZ
+line is walked by ``xxz._scan_line``, the one walk of every XXZ scan line
+and of ``fidelity_scan``: each point starts from the previous point's ground
 state and is seeded from the seed and its own grid index, never from the
 thread count or schedule.  An SSH line is evaluated stacked, every point
 and momentum at once, in blocks of at most ``LINE_BLOCK_CELLS`` cells; its
@@ -25,7 +25,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import comb
+from functools import partial
+from math import comb, isfinite
 
 import numpy as np
 import scipy
@@ -111,8 +112,18 @@ class SweepConfig:
                     f"axis {ax.name!r} not recognized for model {self.model!r}; "
                     f"expected one of {_AXIS_NAMES[self.model]}"
                 )
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+            if not (isfinite(ax.start) and isfinite(ax.stop)):
+                raise ConfigError(f"axis {ax.name!r} needs a finite start and stop")
+        if not (isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        read = {"ssh": ("v1", "u", "v2", "w", "L"), "xxz": ("jz", "gamma"),
+                "dense-file": ("L",)}[self.model]
+        for name, value in self.fixed.items():
+            if name not in read:        # it would change nothing
+                raise ConfigError(f"{self.model} sweeps do not read [fixed] "
+                                  f"{name!r}; expected one of {read}")
+            if not isfinite(value):
+                raise ConfigError(f"[fixed] {name} must be finite, got {value!r}")
         if self.tol_real is not None and not self.tol_real >= 0:    # NaN too
             raise ConfigError(f"tol_real must be nonnegative, got {self.tol_real!r}")
         if self.definition not in FIDELITY_TAGS:
@@ -285,42 +296,23 @@ class SweepResult:
     model: str = ""
 
 
-class _Evaluator:
-    """Fidelity between the ground states at a grid point and at the same
-    point shifted by ``epsilon`` along the scan axis, evaluated one scan
-    line at a time by ``walk``.  The default walk takes one point at a
-    time: subclasses turn the two parameter dicts into the endpoint
-    fidelity in ``_pair``, which also sets the point's endpoint PT classes,
-    or override ``walk``.  No evaluator keeps state between lines."""
-
-    def __init__(self, cfg: SweepConfig, L: int):
-        self.cfg = cfg
-        self.L = L
-
-    def walk(self, line: list[PointResult]) -> None:
-        """Evaluate one scan line; a point that raises records its error
-        in-band and the sweep goes on."""
-        for point in line:
-            try:
-                self._record(point, self._pair(point, self._shifted(point)))
-            except Exception as err:  # keep the sweep alive; record in-band
-                point.error = error_text(err)
-
-    def _shifted(self, point: PointResult) -> dict[str, float]:
-        shifted = dict(point.axis_values)
-        shifted[self.cfg.axes[-1].name] += self.cfg.epsilon
-        return shifted
-
-    def _record(self, point: PointResult, F, chi=None) -> None:
-        """Store the fidelity and the susceptibility (finite-difference
-        unless ``chi`` is given) of an evaluated point."""
-        point.F = complex(F)
-        point.chi = (chi_finite_difference(point.F, self.cfg.epsilon)
-                     if chi is None else complex(chi))
-        point.re_chi_density = point.chi.real / self.L
+def _shifted(cfg: SweepConfig, point: PointResult) -> dict[str, float]:
+    """The point's axis values, shifted by ``epsilon`` along the scan axis."""
+    shifted = dict(point.axis_values)
+    shifted[cfg.axes[-1].name] += cfg.epsilon
+    return shifted
 
 
-class _SshEvaluator(_Evaluator):
+def _record(cfg: SweepConfig, point: PointResult, F, chi=None) -> None:
+    """Store the fidelity and the susceptibility (finite-difference
+    unless ``chi`` is given) of an evaluated point."""
+    point.F = complex(F)
+    point.chi = (chi_finite_difference(point.F, cfg.epsilon)
+                 if chi is None else complex(chi))
+    point.re_chi_density = point.chi.real / point.L
+
+
+def _ssh_line(cfg: SweepConfig, line: list[PointResult]) -> None:
     """A whole scan line as stacked evaluations over (points x momenta):
     one ``_Bands`` at the points and one at their shifted endpoints, in
     blocks of at most ``LINE_BLOCK_CELLS`` cells.  Per point it gives what
@@ -328,74 +320,65 @@ class _SshEvaluator(_Evaluator):
     exceptional momenta fail only that point, the classes are set before
     the exceptional-momentum check, and a metricized v1 scan takes its
     susceptibility from ``chi_total``'s closed form on the same stack."""
+    L = line[0].L
 
-    def _params(self, vals: dict[str, float]) -> SshParams:
-        merged = {**self.cfg.fixed, **vals}
+    def params(vals: dict[str, float]) -> SshParams:
+        merged = {**cfg.fixed, **vals}
         return SshParams(v1=merged["v1"], v2=merged.get("v2", 0.0),
-                         u=merged.get("u", 0.0), w=merged.get("w", 1.0),
-                         L=self.L)
+                         u=merged.get("u", 0.0), w=merged.get("w", 1.0), L=L)
 
-    def walk(self, line: list[PointResult]) -> None:
-        rows = []
-        for point in line:
-            try:
-                rows.append((point, self._params(point.axis_values),
-                             self._params(self._shifted(point))))
-            except Exception as err:  # e.g. a negative u: this point only
-                point.error = error_text(err)
-        if not rows:        # SshParams refused them all (an L below 2, say)
-            return
-        size = max(1, LINE_BLOCK_CELLS // self.L)
-        for i in range(0, len(rows), size):
-            self._block(*zip(*rows[i:i + size]))
-
-    def _block(self, points, params_a, params_b) -> None:
+    rows = []
+    for point in line:
+        try:
+            rows.append((point, params(point.axis_values),
+                         params(_shifted(cfg, point))))
+        except Exception as err:  # e.g. a negative u: this point only
+            point.error = error_text(err)
+    size = max(1, LINE_BLOCK_CELLS // max(L, 1))    # L < 2 leaves no rows
+    for i in range(0, len(rows), size):
+        points, params_a, params_b = zip(*rows[i:i + size])
         ba, bb = _Bands(list(params_a)), _Bands(list(params_b))
         for point, ca, cb in zip(points, ba.pt_class(), bb.pt_class()):
             point.pt_class_a, point.pt_class_b = ca, cb
-        regular = []
-        for i, err in enumerate(_row_errors(ba, bb)):
-            if err is None:
-                regular.append(i)
-            else:
-                points[i].error = error_text(err)
+        for point, err in zip(points, _row_errors(ba, bb)):
+            point.error = "" if err is None else error_text(err)
+        regular = [j for j, point in enumerate(points) if not point.error]
         if not regular:
-            return
+            continue
         if len(regular) < len(points):
-            ba, bb = (_Bands([params[i] for i in regular])
+            ba, bb = (_Bands([params[j] for j in regular])
                       for params in (params_a, params_b))
-        F = _many_body(ba, bb, self.cfg.definition).value
+        F = _many_body(ba, bb, cfg.definition).value
         chi = [None] * len(regular)
-        if self.cfg.definition == "metricized" and self.cfg.axes[-1].name == "v1":
+        if cfg.definition == "metricized" and cfg.axes[-1].name == "v1":
             chi = ba.chi().sum(axis=-1)
-        for j, i in enumerate(regular):
-            self._record(points[i], F[j], chi[j])
+        for k, j in enumerate(regular):
+            _record(cfg, points[j], F[k], chi[k])
 
 
-class _XxzEvaluator(_Evaluator):
-    """A whole scan line through ``xxz._scan_line``."""
+def _xxz_line(cfg: SweepConfig, line: list[PointResult]) -> None:
+    """A whole scan line through ``xxz._scan_line``; an error row has no class."""
+    scan = cfg.axes[-1].name
 
-    def walk(self, line: list[PointResult]) -> None:
-        cfg, scan = self.cfg, self.cfg.axes[-1].name
+    def params(lam: float) -> XxzParams:
+        v = {"jz": 0.0, "gamma": 0.0, **cfg.fixed, **line[0].axis_values, scan: lam}
+        return XxzParams(jz=v["jz"], gamma=v["gamma"], L=line[0].L)
 
-        def params(lam: float) -> XxzParams:
-            v = {"jz": 0.0, "gamma": 0.0, **cfg.fixed, **line[0].axis_values, scan: lam}
-            return XxzParams(jz=v["jz"], gamma=v["gamma"], L=self.L)
-
-        first = np.ravel_multi_index(line[0].index, [ax.count for ax in cfg.axes])
-        pairs = _scan_line(params, [p.axis_values[scan] for p in line], cfg.epsilon,
-                           cfg.seed, first, cfg.definition, tol_real=cfg.tol_real)
-        for point, pair in zip(line, pairs):
-            if isinstance(pair, Exception):
-                point.error = error_text(pair)
-                continue
-            ga, gb, F = pair
-            point.pt_class_a, point.pt_class_b = ga.pt_class, gb.pt_class
-            point.matvecs = ga.matvecs + gb.matvecs
-            self._record(point, F)
+    first = np.ravel_multi_index(line[0].index, [ax.count for ax in cfg.axes])
+    pairs = _scan_line(params, [p.axis_values[scan] for p in line], cfg.epsilon,
+                       cfg.seed, first, cfg.definition, tol_real=cfg.tol_real)
+    for point, pair in zip(line, pairs):
+        if isinstance(pair, Exception):
+            point.error = error_text(pair)
+            continue
+        ga, gb, F = pair
+        point.pt_class_a, point.pt_class_b = ga.pt_class, gb.pt_class
+        point.matvecs = ga.matvecs + gb.matvecs
+        _record(cfg, point, F)
 
 
-class _DenseFileEvaluator(_Evaluator):
+def _dense_line(cfg: SweepConfig, H0: np.ndarray, V: np.ndarray,
+                line: list[PointResult]) -> None:
     """Ground states of ``H0 + lambda V`` for matrices loaded from ``.npy``.
 
     Each endpoint takes its ground pair from ``dense_ground_pair``, so only
@@ -403,29 +386,24 @@ class _DenseFileEvaluator(_Evaluator):
     spectrum is fine), and its PT class from ``classify_pt`` on the whole
     spectrum, which also checks the input's conjugate pairing.  An endpoint
     matrix that is exactly PT symmetric under basis reversal and
-    conjugation (centrohermitian) is solved in real arithmetic.
+    conjugation (centrohermitian) is solved in real arithmetic.  A point
+    gets its two classes only once both endpoints are solved.
     """
+    scan = cfg.axes[-1].name
 
-    def __init__(self, cfg: SweepConfig, L: int):
-        self.H0 = np.load(cfg.options["h0"])
-        self.V = np.load(cfg.options["v"])
-        super().__init__(cfg, self.H0.shape[0])
-
-    def _ground(self, lam: float):
-        w, g, right, left, _ = dense_ground_pair(self.H0 + lam * self.V)
-        pt = "broken" if classify_pt(w, self.cfg.tol_real).is_broken(g) else "unbroken"
+    def ground(lam: float):
+        w, g, right, left, _ = dense_ground_pair(H0 + lam * V)
+        pt = "broken" if classify_pt(w, cfg.tol_real).is_broken(g) else "unbroken"
         return left, right, pt
 
-    def _pair(self, point: PointResult, shifted: dict[str, float]):
-        scan_axis = self.cfg.axes[-1].name
-        la, ra, ca = self._ground(point.axis_values[scan_axis])
-        lb, rb, cb = self._ground(shifted[scan_axis])
-        point.pt_class_a, point.pt_class_b = ca, cb
-        return fidelity_variant(self.cfg.definition, la, ra, lb, rb)
-
-
-_EVALUATORS = {"ssh": _SshEvaluator, "xxz": _XxzEvaluator,
-               "dense-file": _DenseFileEvaluator}
+    for point in line:
+        try:
+            la, ra, ca = ground(point.axis_values[scan])
+            lb, rb, cb = ground(_shifted(cfg, point)[scan])
+            point.pt_class_a, point.pt_class_b = ca, cb
+            _record(cfg, point, fidelity_variant(cfg.definition, la, ra, lb, rb))
+        except Exception as err:  # keep the sweep alive; record in-band
+            point.error = error_text(err)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -433,7 +411,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     Scan lines are computed in parallel over ``cfg.threads`` workers, at
     most one per line and serially without a second, each line by its
-    evaluator's ``walk``.
+    model's line function (``_ssh_line``, ``_xxz_line`` or ``_dense_line``).
     Output ordering, seeds, and therefore every emitted value are
     independent of the thread count.
     """
@@ -444,28 +422,33 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     shape = tuple(ax.count for ax in cfg.axes)
     sizes = cfg.sizes or [int(cfg.fixed.get("L", 0))]
 
-    evaluators = {L: _EVALUATORS[cfg.model](cfg, L) for L in sizes}
+    walk = partial(_ssh_line if cfg.model == "ssh" else _xxz_line, cfg)
+    dims = {L: L for L in sizes}        # the L of each size's points
+    if cfg.model == "dense-file":       # a size only labels the matrix's points
+        H0, V = np.load(cfg.options["h0"]), np.load(cfg.options["v"])
+        dims = dict.fromkeys(sizes, H0.shape[0])
+        walk = partial(_dense_line, cfg, H0, V)
 
     # np.ndindex runs the last axis fastest, so a scan line is a run of
     # consecutive points
-    lines: list[tuple[_Evaluator, list[PointResult]]] = []
+    lines: list[list[PointResult]] = []
     for L in sizes:
         for index in np.ndindex(shape):
             vals = {name: float(axis_values[d][index[d]])
                     for d, name in enumerate(axis_names)}
             if index[-1] == 0:
-                lines.append((evaluators[L], []))
-            lines[-1][1].append(PointResult(index=tuple(index), axis_values=vals,
-                                            L=evaluators[L].L))
-    points = [point for _, line in lines for point in line]
+                lines.append([])
+            lines[-1].append(PointResult(index=tuple(index), axis_values=vals,
+                                         L=dims[L]))
+    points = [point for line in lines for point in line]
 
     workers = min(cfg.threads, len(lines))
     if workers <= 1:
-        for evaluator, line in lines:
-            evaluator.walk(line)
+        for line in lines:
+            walk(line)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda job: job[0].walk(job[1]), lines))
+            list(pool.map(walk, lines))
 
     for point in points:
         flags = []
@@ -489,7 +472,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     # consecutive grid points along the scan axis whose classes differ
     # bracket an exceptional point even when no single record straddles
     scan_axis = axis_names[-1]
-    for _, line in lines:
+    for line in lines:
         for a, b in zip(line, line[1:]):
             if a.error or b.error or not a.pt_class_a or not b.pt_class_a:
                 continue
@@ -507,7 +490,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     if len(sizes) >= 3 and len(cfg.axes) == 1:
         data = {}
         for L in sizes:
-            sub = [p for p in points if p.L == evaluators[L].L]
+            sub = [p for p in points if p.L == dims[L]]
             x = np.array([p.axis_values[axis_names[0]] for p in sub])
             y = np.array([_peak_value(p.re_chi_density, p.F, p.error,
                                       "straddle" in p.ep_flag) for p in sub])

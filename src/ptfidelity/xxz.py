@@ -44,7 +44,7 @@ import heapq
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 import scipy.sparse as sparse
@@ -99,6 +99,8 @@ class XxzParams:
             raise OddLError(f"staggering needs an even chain, got L={self.L}")
         if self.L < 4:
             raise ValueError("L must be at least 4")
+        if not (isfinite(self.jz) and isfinite(self.gamma)):
+            raise ValueError("jz and gamma must be finite")  # NaN passes gamma < 0
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
 
@@ -763,7 +765,9 @@ def fidelity_scan(
 
 def is_broken_at(p: XxzParams, direction: str, value: float, *,
                  seed: int = 0, tol_real: float | None = None) -> bool:
-    """PT class of the Lanczos ground state; the probe of EP bisection."""
+    """PT class of the Lanczos ground state.  No program code calls it
+    (``ep-locate`` probes through warm-started ``ground_state`` calls); it
+    stays because ``perfbench`` traces the name."""
     return ground_state(_with(p, direction, value), seed=seed,
                         tol_real=tol_real).is_broken
 

@@ -415,11 +415,17 @@ class TestBadInputExitCodes:
          "--direction", "jz"),
         ("ep-locate", "--model", "ssh", "--u", "0.2", "--bracket", "0.5", "1.0",
          "--tol-real", "5"),
+        # a non-finite value, which passes every sign check
+        ("ssh-scan", "--v1", "0.5", "0.9", "3", "--u", "0.2", "-L", "21",
+         "--epsilon", "nan"),
+        ("ssh-bands", "--v1", "nan", "-L", "5"),
+        ("xxz-spectrum", "--jz", "1", "--gamma", "nan", "-L", "4"),
     ], ids=["ssh-negative-a", "xxz-zero-b", "ssh-zero-epsilon",
             "xxz-negative-epsilon", "xxz-nan-epsilon", "ep-locate-negative-tol-real",
             "xxz-scan-negative-tol-real", "xxz-scan-nan-tol-real", "berry-zero-nk",
             "berry-negative-nk", "edges-L2", "xxz-u", "xxz-v2", "ssh-jz", "ssh-gamma",
-            "ssh-direction", "ssh-tol-real"])
+            "ssh-direction", "ssh-tol-real", "ssh-scan-nan-epsilon", "ssh-bands-nan-v1",
+            "xxz-spectrum-nan-gamma"])
     def test_invalid_value_is_refused_before_any_solve(self, argv, monkeypatch,
                                                        tmp_path, capsys):
         from ptfidelity import cli, xxz

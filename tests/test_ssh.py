@@ -60,6 +60,14 @@ class TestBlochMatrix:
             H = bloch_matrix(rng.uniform(0, 2 * np.pi), p)
             assert np.abs(H @ sx - sx @ np.conj(H)).max() < 1e-14
 
+    @pytest.mark.parametrize("name", ["v1", "v2", "u", "w"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coupling_is_refused(self, name, value):
+        # NaN passes the u < 0 and w <= 0 checks, and would give NaN states
+        couplings = {"v1": 0.5, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            SshParams(**couplings, L=4)
+
 
 class TestBandPoint:
     def test_hermitian_gap_closing(self):

@@ -109,6 +109,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tol_real"):
             parse_config(cfg.to_text())
 
+    @pytest.mark.parametrize("model, name", [
+        ("xxz", "gama"), ("xxz", "L"), ("xxz", "u"), ("ssh", "gamma"),
+        ("ssh", "jz"), ("dense-file", "v1"), ("dense-file", "lambda"),
+    ])
+    def test_fixed_name_the_model_never_reads_is_refused(self, model, name):
+        # such a sweep would run as if the name were not there
+        axis = {"ssh": "v1", "xxz": "gamma", "dense-file": "lambda"}[model]
+        text = ("[sweep]\nmodel = {}\nh0 = h0.npy\nv = v.npy\n\n[fixed]\n"
+                "{} = 0.3\n\n[axis]\nname = {}\nstart = 0.1\nstop = 0.2\n"
+                "count = 2\n\n[sizes]\nL = 4\n")
+        reads = {"ssh": "w", "xxz": "jz", "dense-file": "L"}[model]
+        assert parse_config(text.format(model, reads, axis)).fixed == {reads: 0.3}
+        with pytest.raises(ConfigError, match=f"do not read .*'{name}'"):
+            parse_config(text.format(model, name, axis))
+
+    @pytest.mark.parametrize("old, new", [
+        ("epsilon = 1e-3", "epsilon = nan"),
+        ("epsilon = 1e-3", "epsilon = inf"),
+        ("start = 0.7", "start = nan"),
+        ("stop = 0.15", "stop = -inf"),
+        ("v2 = 0.0", "v2 = nan"),
+        ("L = 21", "L = inf"),
+    ])
+    def test_non_finite_value_is_refused(self, old, new):
+        assert old in SSH_CONFIG
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(SSH_CONFIG.replace(old, new))
+
 
 class TestRunSweep:
     def test_ssh_grid_values(self):
@@ -488,6 +516,20 @@ class TestDenseFileModel:
             tmp_path, np.array([[0, 1], [1, 0]]) + sz, sz, 0.0, 0.2, 2)
         assert result.points[0].error.startswith("DefectiveMatrixError")
         assert "below ep_guard 1.000e-12" in result.points[0].error
+        assert result.points[1].error == ""
+
+    def test_defective_shifted_endpoint_leaves_both_classes_empty(self, tmp_path):
+        # the point at lambda = -epsilon solves, its shifted endpoint at
+        # lambda = 0 sits on the EP of [[i, 1], [1, -i]]: a point gets its
+        # classes only once both endpoints are solved
+        sz = np.diag([1j, -1j])
+        result = self._dense_file_sweep(
+            tmp_path, np.array([[0, 1], [1, 0]]) + sz, sz, -1e-3, 0.5, 2)
+        first = result.points[0]
+        assert first.axis_values["lambda"] + 1e-3 == 0.0
+        assert first.error.startswith("DefectiveMatrixError")
+        assert first.pt_class_a == first.pt_class_b == ""
+        assert first.F == 0j and math.isnan(first.re_chi_density)
         assert result.points[1].error == ""
 
     def test_unresolved_ground_cluster_is_an_in_band_error(self, tmp_path):

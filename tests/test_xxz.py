@@ -86,6 +86,13 @@ class TestBasis:
         with pytest.raises(OddLError):
             build_m0_basis(7)
 
+    @pytest.mark.parametrize("jz, gamma", [(float("nan"), 0.3), (1.0, float("nan")),
+                                           (float("inf"), 0.3), (1.0, float("inf"))])
+    def test_non_finite_coupling_is_refused(self, jz, gamma):
+        # NaN passes the gamma < 0 check
+        with pytest.raises(ValueError, match="finite"):
+            XxzParams(jz=jz, gamma=gamma, L=4)
+
     def test_cap_refusal(self):
         # the L = 30 sector (~1.5e8 states) sits above the size cap
         with pytest.raises(BasisCapExceededError):

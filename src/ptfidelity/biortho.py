@@ -132,7 +132,8 @@ def re_tie_tolerance(eigenvalues: np.ndarray) -> float:
 
 def gauge_factor(v: np.ndarray):
     """Factor ``c`` such that ``v / c`` has unit norm and its largest-magnitude
-    entry real and positive; one factor per column when ``v`` is a matrix.
+    entry real and positive; one factor per column when ``v`` is a matrix,
+    bit for bit that of the column alone.
 
     Entries within a relative ``1e-8`` of the largest magnitude count as tied
     and the first of them is taken, so symmetry-equal entries give the same
@@ -146,7 +147,8 @@ def gauge_factor(v: np.ndarray):
     else:
         first = np.argmax(tied, axis=0)
         pivot = np.take_along_axis(v, np.expand_dims(first, 0), 0)[0]
-        norm = np.linalg.norm(mag, axis=0)
+        # summed along contiguous rows, pairwise as for a vector
+        norm = np.sqrt(np.add.reduce(np.ascontiguousarray((mag * mag).T), axis=-1))
     return norm * (pivot / np.abs(pivot))
 
 

@@ -116,6 +116,9 @@ class SweepConfig:
                 raise ConfigError(f"axis {ax.name!r} needs a finite start and stop")
         if not (isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not isfinite(self.divergence_floor):     # NaN would flag no point
+            raise ConfigError("divergence_floor must be finite, "
+                              f"got {self.divergence_floor!r}")
         read = {"ssh": ("v1", "u", "v2", "w", "L"), "xxz": ("jz", "gamma"),
                 "dense-file": ("L",)}[self.model]
         for name, value in self.fixed.items():
@@ -147,6 +150,9 @@ class SweepConfig:
                 all(ax.name != "v1" for ax in self.axes):
             raise ConfigError("ssh sweeps need v1 (fixed or an axis)")
         if self.model == "dense-file":
+            if len(self.sizes) > 1:     # its points have the matrix's dimension
+                raise ConfigError("dense-file sweeps run once, on the matrix; "
+                                  f"got sizes {self.sizes}")
             for key in ("h0", "v"):
                 if key not in self.options:
                     raise ConfigError(
@@ -283,17 +289,20 @@ class PointResult:
     matvecs: int = 0        # Lanczos operator applications at both endpoints
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SweepResult:
+    """One sweep's result.  Its field order, and ``PointResult``'s, is the
+    JSON layout: ``result_to_dict`` writes the fields in that order."""
+
+    schema_version: int = SCHEMA_VERSION
+    model: str = ""
     config_text: str
     axis_names: list[str]
+    provenance: dict
     points: list[PointResult]
     ep_candidates: list[dict]
     peak_table: list[dict]
     extrapolation: dict | None
-    provenance: dict
-    schema_version: int = SCHEMA_VERSION
-    model: str = ""
 
 
 def _shifted(cfg: SweepConfig, point: PointResult) -> dict[str, float]:
@@ -423,10 +432,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     sizes = cfg.sizes or [int(cfg.fixed.get("L", 0))]
 
     walk = partial(_ssh_line if cfg.model == "ssh" else _xxz_line, cfg)
-    dims = {L: L for L in sizes}        # the L of each size's points
-    if cfg.model == "dense-file":       # a size only labels the matrix's points
+    if cfg.model == "dense-file":       # one run, at the matrix's dimension
         H0, V = np.load(cfg.options["h0"]), np.load(cfg.options["v"])
-        dims = dict.fromkeys(sizes, H0.shape[0])
+        sizes = [H0.shape[0]]
         walk = partial(_dense_line, cfg, H0, V)
 
     # np.ndindex runs the last axis fastest, so a scan line is a run of
@@ -438,8 +446,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                     for d, name in enumerate(axis_names)}
             if index[-1] == 0:
                 lines.append([])
-            lines[-1].append(PointResult(index=tuple(index), axis_values=vals,
-                                         L=dims[L]))
+            lines[-1].append(PointResult(index=tuple(index), axis_values=vals, L=L))
     points = [point for line in lines for point in line]
 
     workers = min(cfg.threads, len(lines))
@@ -490,7 +497,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     if len(sizes) >= 3 and len(cfg.axes) == 1:
         data = {}
         for L in sizes:
-            sub = [p for p in points if p.L == dims[L]]
+            sub = [p for p in points if p.L == L]
             x = np.array([p.axis_values[axis_names[0]] for p in sub])
             y = np.array([_peak_value(p.re_chi_density, p.F, p.error,
                                       "straddle" in p.ep_flag) for p in sub])
@@ -564,69 +571,37 @@ def write_csv(result: SweepResult, stream: io.TextIOBase) -> None:
         writer.writerow(row)
 
 
-def _complex_dict(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def result_to_dict(result: SweepResult) -> dict:
-    return {
-        "schema_version": result.schema_version,
-        "model": result.model,
-        "config_text": result.config_text,
-        "axis_names": list(result.axis_names),
-        "provenance": dict(result.provenance),
-        "points": [
-            {
-                "index": list(p.index),
+    """``result`` as JSON data, each record's fields in declaration order;
+    tuples, complex numbers and NaN converted, axis names, axis values and
+    provenance copied."""
+    def point(p: PointResult) -> dict:
+        return {**vars(p), "index": list(p.index),
                 "axis_values": dict(p.axis_values),
-                "L": p.L,
-                "F": _complex_dict(p.F),
-                "chi": _complex_dict(p.chi),
+                "F": {"re": p.F.real, "im": p.F.imag},
+                "chi": {"re": p.chi.real, "im": p.chi.imag},
                 "re_chi_density": (p.re_chi_density
-                                   if np.isfinite(p.re_chi_density) else None),
-                "pt_class_a": p.pt_class_a,
-                "pt_class_b": p.pt_class_b,
-                "ep_flag": p.ep_flag,
-                "error": p.error,
-                "matvecs": p.matvecs,
-            }
-            for p in result.points
-        ],
-        "ep_candidates": result.ep_candidates,
-        "peak_table": result.peak_table,
-        "extrapolation": result.extrapolation,
-    }
+                                   if isfinite(p.re_chi_density) else None)}
+
+    return {**vars(result), "axis_names": list(result.axis_names),
+            "provenance": dict(result.provenance),
+            "points": [point(p) for p in result.points]}
 
 
 def result_from_dict(data: dict) -> SweepResult:
-    points = [
-        PointResult(
-            index=tuple(d["index"]),
-            axis_values={k: float(v) for k, v in d["axis_values"].items()},
-            L=int(d["L"]),
-            F=complex(d["F"]["re"], d["F"]["im"]),
-            chi=complex(d["chi"]["re"], d["chi"]["im"]),
-            re_chi_density=(float("nan") if d["re_chi_density"] is None
-                            else d["re_chi_density"]),
-            pt_class_a=d["pt_class_a"],
-            pt_class_b=d["pt_class_b"],
-            ep_flag=d["ep_flag"],
-            error=d["error"],
-            matvecs=int(d.get("matvecs", 0)),
-        )
-        for d in data["points"]
-    ]
-    return SweepResult(
-        config_text=data["config_text"],
-        axis_names=list(data["axis_names"]),
-        points=points,
-        ep_candidates=data["ep_candidates"],
-        peak_table=data["peak_table"],
-        extrapolation=data["extrapolation"],
-        provenance=data["provenance"],
-        schema_version=data["schema_version"],
-        model=data.get("model", ""),
-    )
+    """The inverse of ``result_to_dict``.  A missing field takes its default;
+    a key no field declares raises the constructor's ``TypeError``."""
+    def point(d: dict) -> PointResult:
+        density = d["re_chi_density"]
+        return PointResult(**{
+            **d, "index": tuple(d["index"]), "axis_values": dict(d["axis_values"]),
+            "F": complex(d["F"]["re"], d["F"]["im"]),
+            "chi": complex(d["chi"]["re"], d["chi"]["im"]),
+            "re_chi_density": float("nan") if density is None else density})
+
+    return SweepResult(**{**data, "axis_names": list(data["axis_names"]),
+                          "provenance": dict(data["provenance"]),
+                          "points": [point(d) for d in data["points"]]})
 
 
 def write_json(result: SweepResult, stream: io.TextIOBase) -> None:

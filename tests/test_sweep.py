@@ -137,6 +137,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             parse_config(SSH_CONFIG.replace(old, new))
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+    def test_non_finite_divergence_floor_is_refused(self, floor):
+        # a NaN floor compares false with every density and flags no point
+        text = SSH_CONFIG.replace("format = csv", f"divergence_floor = {floor}")
+        with pytest.raises(ConfigError, match="divergence_floor must be finite"):
+            parse_config(text)
+        cfg = parse_config(SSH_CONFIG)
+        cfg.divergence_floor = float(floor)
+        with pytest.raises(ConfigError, match="finite"):
+            run_sweep(cfg)
+
 
 class TestRunSweep:
     def test_ssh_grid_values(self):
@@ -415,6 +426,46 @@ class TestEmit:
         assert rows[1]["error"] == 'ValueError: bad "x", then y'
 
 
+class TestJsonLayout:
+    """The dataclass field order is the JSON layout, byte for byte."""
+
+    def test_top_level_keys(self):
+        assert list(result_to_dict(run_sweep(tiny_xxz_config()))) == [
+            "schema_version", "model", "config_text", "axis_names",
+            "provenance", "points", "ep_candidates", "peak_table",
+            "extrapolation"]
+
+    def test_point_keys(self):
+        data = result_to_dict(run_sweep(tiny_xxz_config()))
+        assert all(list(d) == [
+            "index", "axis_values", "L", "F", "chi", "re_chi_density",
+            "pt_class_a", "pt_class_b", "ep_flag", "error", "matvecs"]
+            for d in data["points"])
+
+    def test_write_read_write_is_byte_identical(self):
+        cfg = SweepConfig(model="xxz", axes=[Axis("gamma", -0.03, 0.3, 5)],
+                          fixed={"jz": 1.0}, sizes=[6], seed=5)
+        result = run_sweep(cfg)
+        assert result.points[0].error         # gamma < 0: an error row
+        first = io.StringIO()
+        write_json(result, first)
+        assert '"re_chi_density": null' in first.getvalue()
+        first.seek(0)
+        again = io.StringIO()
+        write_json(read_json(first), again)
+        assert again.getvalue() == first.getvalue()
+
+    def test_undeclared_key_is_refused(self):
+        data = result_to_dict(run_sweep(tiny_xxz_config()))
+        data["points"][0]["residual"] = 1e-12
+        with pytest.raises(TypeError, match="residual"):
+            result_from_dict(data)
+        del data["points"][0]["residual"]
+        data["notes"] = ""
+        with pytest.raises(TypeError, match="notes"):
+            result_from_dict(data)
+
+
 class TestDenseFileModel:
     def test_sweep_over_file_matrices(self, tmp_path, rng):
         from conftest import random_pt_matrix
@@ -451,6 +502,20 @@ class TestDenseFileModel:
         cfg.tol_real = 1e3
         classes = {(p.pt_class_a, p.pt_class_b) for p in run_sweep(cfg).points}
         assert classes == {("unbroken", "unbroken")}
+
+    def test_one_run_at_the_matrix_dimension(self, tmp_path):
+        # a size only labels a dense-file sweep: its points have the
+        # matrix's dimension, and more than one size would repeat the run
+        np.save(tmp_path / "h0.npy", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.save(tmp_path / "v.npy", np.diag([1j, -1j]))
+        text = (f"[sweep]\nmodel = dense-file\nh0 = {tmp_path / 'h0.npy'}\n"
+                f"v = {tmp_path / 'v.npy'}\n\n[axis]\nname = lambda\n"
+                "start = 0.1\nstop = 0.5\ncount = 5\n\n[sizes]\nL = 4\n")
+        result = run_sweep(parse_config(text))
+        assert [p.L for p in result.points] == [2] * 5
+        assert result.peak_table == [] and result.extrapolation is None
+        with pytest.raises(ConfigError, match="sizes"):
+            parse_config(text.replace("L = 4", "L = 4 6 8"))
 
 
     @staticmethod

@@ -467,7 +467,7 @@ def metric_operator(es: BiorthogonalEigensystem) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
-def dense_full_spectrum(H, *, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
+def dense_full_spectrum(H) -> np.ndarray:
     """All eigenvalues of a dense matrix, sorted by (Re, Im) ascending.
 
     LAPACK's real solver runs on a real matrix and on the real form
@@ -475,9 +475,9 @@ def dense_full_spectrum(H, *, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
     complex eigenvalues then come in exact conjugate pairs; any other
     complex matrix goes to the complex solver."""
     H = _as_square(H)
-    if H.shape[0] > dim_cap:
+    if H.shape[0] > DENSE_DIM_CAP:
         raise DimTooLargeError(
-            f"dimension {H.shape[0]} exceeds dense guard {dim_cap}"
+            f"dimension {H.shape[0]} exceeds dense guard {DENSE_DIM_CAP}"
         )
     R = _pt_real_form(H)
     w = np.linalg.eigvals(H if R is None else R).astype(complex, copy=False)
@@ -505,14 +505,6 @@ class SparseComplexSymmetricMatrix:
         if defect.nnz and defect.max() > 0:
             raise ValueError("matrix is not complex symmetric (M != M^T)")
         self.dim = m.shape[0]
-
-    @classmethod
-    def _prechecked(cls, matrix) -> SparseComplexSymmetricMatrix:
-        """Wrap ``matrix`` without the symmetry check, for a caller that has
-        already verified ``matrix == matrix.T``."""
-        out = cls.__new__(cls)
-        out.matrix, out.dim = matrix, matrix.shape[0]
-        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v

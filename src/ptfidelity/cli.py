@@ -223,6 +223,8 @@ def cmd_ep_locate(args) -> int:
     counters = ("matvecs", "iterations", "extractions")
     _params(_check_one_half_options, schedule, args.a, args.b)
     _params(_check_tol_real, args.tol_real)
+    if args.seed < 0:       # SeedSequence refuses it, at the first solve
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     if args.model == "ssh":
         base = _params(SshParams, v1=lo, v2=args.v2, u=args.u, L=args.L)
 

@@ -133,6 +133,8 @@ class SweepConfig:
             raise ConfigError(
                 f"unknown definition {self.definition!r}; expected one of {FIDELITY_TAGS}"
             )
+        if self.seed < 0:       # SeedSequence refuses it, at the first point
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.fmt not in ("csv", "json"):
@@ -153,6 +155,9 @@ class SweepConfig:
             if len(self.sizes) > 1:     # its points have the matrix's dimension
                 raise ConfigError("dense-file sweeps run once, on the matrix; "
                                   f"got sizes {self.sizes}")
+            if len(self.axes) > 1:      # H0 + lambda V has one parameter
+                raise ConfigError("dense-file sweeps scan one axis, got "
+                                  f"{[ax.name for ax in self.axes]}")
             for key in ("h0", "v"):
                 if key not in self.options:
                     raise ConfigError(

@@ -69,7 +69,9 @@ from .fidelity import DEFAULT_EPSILON, FidelityRecord, chi_finite_difference, fi
 from .lanczos import LanczosResult, complex_symmetric_lanczos
 
 LANCZOS_BASIS_CAP = comb(28, 14)       # ~4.0e7 configurations
-DENSE_SECTOR_CAP = 5000   # L <= 14 for ground_state(method="dense") and full_sector_spectrum
+# largest dense matrix: the sector for ground_state(method="dense"), L <= 14,
+# and a block for full_sector_spectrum, L <= 16
+DENSE_SECTOR_CAP = 5000
 # relative weight of the random part added to a given Lanczos start vector.
 # A start vector inside one symmetry sector of a momentum block never
 # leaves it and misses a level of another sector that has crossed below:
@@ -162,25 +164,19 @@ def _spin_z(states: np.ndarray, j: int) -> np.ndarray:
 class _SectorPattern:
     """Parameter-free pieces of the ``L``-site sector matrix, all read-only.
 
-    ``data`` holds the exchange amplitude 2 at every hop and 0 in the
-    ``diag_slots`` of the CSR pattern; ``ising`` is ``sum_j s_j s_j+1`` and
-    ``staggered`` is ``sum_j (-1)^j s_j`` per configuration.  Construction
-    raises ``ValueError`` unless the hop matrix equals its transpose; no
-    diagonal can break that, so every matrix built on the pattern is
-    complex symmetric.
+    ``hop`` is the real exchange CSR matrix, amplitude 2 at every hop and
+    no diagonal; ``ising`` is ``sum_j s_j s_j+1`` and ``staggered`` is
+    ``sum_j (-1)^j s_j`` per configuration.  Construction raises
+    ``ValueError`` unless ``hop`` equals its transpose; no diagonal can
+    break that, so every matrix built on the pattern is complex symmetric.
     """
 
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    diag_slots: np.ndarray
+    hop: sparse.csr_matrix
     ising: np.ndarray
     staggered: np.ndarray
 
     def __post_init__(self):
-        n = len(self.ising)
-        SparseComplexSymmetricMatrix(
-            sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n)))
+        SparseComplexSymmetricMatrix(self.hop)
 
 
 @lru_cache(maxsize=4)
@@ -191,7 +187,7 @@ def _sector_pattern(L: int) -> _SectorPattern:
     n = len(S)
     ising = np.zeros(n)
     staggered = np.zeros(n)
-    rows, cols = [np.arange(n)], [np.arange(n)]      # diagonal slots first
+    rows, cols = [], []
     for j in range(L):
         jn = (j + 1) % L
         sj, sn = _spin_z(S, j), _spin_z(S, jn)
@@ -200,16 +196,10 @@ def _sector_pattern(L: int) -> _SectorPattern:
         flip = sj != sn
         cols.append(np.nonzero(flip)[0])
         rows.append(np.searchsorted(S, S[flip] ^ ((1 << j) | (1 << jn))))
-    r = np.concatenate(rows)
-    pattern = sparse.csr_matrix(
-        (np.arange(1, len(r) + 1), (r, np.concatenate(cols))), shape=(n, n))
-    pattern.sort_indices()
-    diag_slots = np.flatnonzero(pattern.data <= n)   # labels 1..n mark (i, i)
-    data = np.full(pattern.nnz, 2.0 + 0j)
-    data[diag_slots] = 0.0
-    out = _SectorPattern(data, pattern.indices, pattern.indptr, diag_slots,
-                         ising, staggered)
-    for a in vars(out).values():
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    hop = sparse.csr_matrix((np.full(len(r), 2.0), (r, c)), shape=(n, n))
+    out = _SectorPattern(hop, ising, staggered)
+    for a in (hop.data, hop.indices, hop.indptr, ising, staggered):
         a.flags.writeable = False
     return out
 
@@ -360,8 +350,7 @@ def _block(L: int, q: int) -> _Block:
     basis_h = basis.conj().T.tocsr()
 
     pat = _sector_pattern(L)
-    ops = (sparse.csr_matrix((pat.data, pat.indices, pat.indptr), shape=(n, n)),
-           sparse.diags(pat.ising), sparse.diags(1j * pat.staggered))
+    ops = pat.hop, sparse.diags(pat.ising), sparse.diags(1j * pat.staggered)
     parts = []
     for name, op, sign in zip(("exchange", "ising", "staggered"), ops, (1, 1, -1)):
         part = basis_h @ (op @ basis)
@@ -414,22 +403,15 @@ def _theta_real_start(block: _Block, v: np.ndarray) -> np.ndarray:
 
 def build_hamiltonian(p: XxzParams, basis: M0Basis | None = None,
                       ) -> SparseComplexSymmetricMatrix:
-    """Assemble the sector Hamiltonian as a complex symmetric CSR matrix.
-
-    The sparsity pattern and both diagonals are built once per ``L`` and
-    shared read-only; every call gets its own ``data`` array with
-    ``jz * ising + i * gamma * staggered`` written into the diagonal slots.
-    The pattern's symmetry is verified when it is built, so no call repeats
-    the ``SparseComplexSymmetricMatrix`` check.
+    """Assemble the sector Hamiltonian as a complex symmetric CSR matrix:
+    the shared exchange matrix of ``_sector_pattern`` plus the diagonal
+    ``jz * ising + i * gamma * staggered``.
     ``basis``, when given, must be the M=0 sector of ``p.L``.
     """
     _check_basis(p, basis)
     pat = _sector_pattern(p.L)
-    data = pat.data.copy()
-    data[pat.diag_slots] = p.jz * pat.ising + 1j * p.gamma * pat.staggered
-    n = len(pat.ising)
-    H = sparse.csr_matrix((data, pat.indices, pat.indptr), shape=(n, n))
-    return SparseComplexSymmetricMatrix._prechecked(H)
+    return SparseComplexSymmetricMatrix(pat.hop + sparse.diags(
+        p.jz * pat.ising + 1j * p.gamma * pat.staggered, format="csr"))
 
 
 def _check_basis(p: XxzParams, basis: M0Basis | None) -> None:
@@ -490,9 +472,9 @@ def _norm_estimate(p: XxzParams) -> float:
     return 2.0 * p.L + abs(p.jz) * p.L + p.gamma * p.L
 
 
-def _check_dense_cap(dim: int) -> None:
-    if dim > DENSE_SECTOR_CAP:   # guards the dense residual of method="dense": 2.6 GB at L=16
-        raise DimTooLargeError(f"sector dim {dim} exceeds dense cap {DENSE_SECTOR_CAP}")
+def _check_dense_cap(dim: int, what: str) -> None:
+    if dim > DENSE_SECTOR_CAP:
+        raise DimTooLargeError(f"{what} dim {dim} exceeds dense cap {DENSE_SECTOR_CAP}")
 
 
 def _covector(right: np.ndarray) -> tuple[np.ndarray, float]:
@@ -620,8 +602,8 @@ def ground_state(
         raise ValueError(f"unknown method {method!r}")
     _check_tol_real(tol_real)
     _check_basis(p, basis)
-    if method == "dense":
-        _check_dense_cap(comb(p.L, p.L // 2))
+    if method == "dense":       # its residual densifies the sector: 2.6 GB at L=16
+        _check_dense_cap(comb(p.L, p.L // 2), "sector")
     if tol_real is None:
         tol_real = 1e-10 * _norm_estimate(p)
     rng = np.random.default_rng(seed)
@@ -871,8 +853,12 @@ def full_sector_spectrum(p: XxzParams) -> np.ndarray:
     The union of the spectra of the blocks' dense real forms (``_Block``),
     from LAPACK's real solver, so complex eigenvalues come in exact
     conjugate pairs.  A paired block holds both the ``+K`` and ``-K`` copy
-    of its levels, so each level appears once (see ``_t2_orbits``)."""
-    _check_dense_cap(comb(p.L, p.L // 2))
+    of its levels, so each level appears once (see ``_t2_orbits``).
+    Refused when a block is larger than ``DENSE_SECTOR_CAP``."""
+    # the largest block is at least the mean, which refuses L >= 18 before
+    # the sector is enumerated
+    _check_dense_cap(comb(p.L, p.L // 2) // (p.L // 4 + 1), "mean block")
+    _check_dense_cap(max(_t2_orbits(p.L)[3]), "block")
     w = np.concatenate([dense_full_spectrum(_block_hamiltonian(p, q).toarray())
                         for q in range(p.L // 4 + 1)])
     return w[np.lexsort((w.imag, w.real))]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import ptfidelity.biortho as biortho
 from ptfidelity import (
     AmbiguousPairingError,
     DefectiveMatrixError,
@@ -206,9 +207,10 @@ class TestDenseFullSpectrum:
         w = dense_full_spectrum(np.eye(4))
         assert np.allclose(w, np.ones(4))
 
-    def test_dim_guard(self):
+    def test_dim_guard(self, monkeypatch):
+        monkeypatch.setattr(biortho, "DENSE_DIM_CAP", 2)
         with pytest.raises(DimTooLargeError):
-            dense_full_spectrum(np.eye(3), dim_cap=2)
+            dense_full_spectrum(np.eye(3))
 
     def test_open_ssh_boundary_modes_near_zero_re(self):
         H = open_boundary_matrix(SshParams(v1=1.5, v2=0.0, u=0.1, L=20))

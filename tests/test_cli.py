@@ -322,7 +322,7 @@ class TestBadInputExitCodes:
         assert "config error" in capsys.readouterr().err
 
     def test_xxz_spectrum_above_the_dense_cap(self, capsys):
-        assert run_cli("xxz-spectrum", "--jz", "1", "--gamma", "0.3", "-L", "16") == 3
+        assert run_cli("xxz-spectrum", "--jz", "1", "--gamma", "0.3", "-L", "18") == 3
         assert "DimTooLargeError" in capsys.readouterr().err
 
     def test_ssh_bands_negative_u(self, capsys):
@@ -420,12 +420,17 @@ class TestBadInputExitCodes:
          "--epsilon", "nan"),
         ("ssh-bands", "--v1", "nan", "-L", "5"),
         ("xxz-spectrum", "--jz", "1", "--gamma", "nan", "-L", "4"),
+        # a negative seed, which SeedSequence refuses at the first point
+        ("xxz-scan", "--gamma", "0.1", "0.2", "3", "-L", "6", "--seed", "-1"),
+        ("ep-locate", "--model", "xxz", "--jz", "1", "-L", "8",
+         "--bracket", "0", "0.6", "--seed", "-1"),
     ], ids=["ssh-negative-a", "xxz-zero-b", "ssh-zero-epsilon",
             "xxz-negative-epsilon", "xxz-nan-epsilon", "ep-locate-negative-tol-real",
             "xxz-scan-negative-tol-real", "xxz-scan-nan-tol-real", "berry-zero-nk",
             "berry-negative-nk", "edges-L2", "xxz-u", "xxz-v2", "ssh-jz", "ssh-gamma",
             "ssh-direction", "ssh-tol-real", "ssh-scan-nan-epsilon", "ssh-bands-nan-v1",
-            "xxz-spectrum-nan-gamma"])
+            "xxz-spectrum-nan-gamma", "xxz-scan-negative-seed",
+            "ep-locate-negative-seed"])
     def test_invalid_value_is_refused_before_any_solve(self, argv, monkeypatch,
                                                        tmp_path, capsys):
         from ptfidelity import cli, xxz

@@ -517,6 +517,18 @@ class TestDenseFileModel:
         with pytest.raises(ConfigError, match="sizes"):
             parse_config(text.replace("L = 4", "L = 4 6 8"))
 
+    def test_one_axis(self, tmp_path):
+        # H0 + lambda V has one parameter: a second axis would only repeat
+        # the lambda rows once per value of the other
+        np.save(tmp_path / "h0.npy", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.save(tmp_path / "v.npy", np.diag([1j, -1j]))
+        text = (f"[sweep]\nmodel = dense-file\nh0 = {tmp_path / 'h0.npy'}\n"
+                f"v = {tmp_path / 'v.npy'}\n\n[axis]\nname = foo\nstart = 0\n"
+                "stop = 1\ncount = 3\n\n[axis]\nname = lambda\nstart = 0.1\n"
+                "stop = 0.5\ncount = 3\n")
+        with pytest.raises(ConfigError, match="one axis"):
+            parse_config(text)
+
 
     @staticmethod
     def _dense_file_sweep(tmp_path, H0, V, start, stop, count, **cfg):

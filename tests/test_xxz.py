@@ -183,8 +183,10 @@ class TestHamiltonian:
 
 
 class TestSectorSymmetry:
-    """The sector pattern is checked for symmetry once per L, when it is
-    built; ``build_hamiltonian`` skips the per-matrix check."""
+    """The exchange matrix of the sector pattern is checked for symmetry once
+    per L, when it is built, and again by every ``build_hamiltonian``; no
+    diagonal can break it, so every block projected from it starts from a
+    symmetric exchange matrix."""
 
     @pytest.mark.parametrize("L", [4, 6, 8, 10, 12])       # XxzParams needs even L >= 4
     def test_every_assembled_matrix_equals_its_transpose(self, L):
@@ -194,16 +196,43 @@ class TestSectorSymmetry:
 
     def test_corrupted_pattern_copy_fails_the_check(self):
         pattern = _sector_pattern(8)
-        data = pattern.data.copy()
-        hop = np.setdiff1d(np.arange(len(data)), pattern.diag_slots)[0]
-        data[hop] = 3.0
+        hop = pattern.hop.copy()
+        hop.data[0] = 3.0
         with pytest.raises(ValueError, match="not complex symmetric"):
-            replace(pattern, data=data)
+            replace(pattern, hop=hop)
 
     def test_direct_construction_still_checks(self):
         M = sparse.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
         with pytest.raises(ValueError, match="not complex symmetric"):
             SparseComplexSymmetricMatrix(matrix=M)
+
+
+class TestSectorMatrixTraffic:
+    def test_only_the_dense_residual_builds_the_sector_matrix(self, monkeypatch,
+                                                              tmp_path):
+        # every solve runs on the momentum blocks; the sector matrix is built
+        # only for the residual that method="dense" reports
+        from ptfidelity.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sector matrix was built")
+
+        monkeypatch.setattr(xxz, "build_hamiltonian", refuse)
+        p = XxzParams(jz=1.0, gamma=0.1, L=8)
+        ground_state(p)
+        fidelity_scan(p, "gamma", [0.0, 0.1, 0.2])
+        for threads in (1, 2):
+            result = run_sweep(SweepConfig(
+                model="xxz", axes=[Axis("jz", 0.5, 1.0, 2), Axis("gamma", 0.0, 0.2, 3)],
+                sizes=[8], threads=threads))
+            assert [pt.error for pt in result.points] == [""] * 6
+        assert main(["ep-locate", "--model", "xxz", "--jz", "1", "-L", "8",
+                     "--bracket", "0", "0.6", "--out", str(tmp_path / "ep.json")]) == 0
+        assert main(["xxz-spectrum", "--jz", "1", "--gamma", "0.3", "-L", "8",
+                     "--out", str(tmp_path / "spectrum.csv")]) == 0
+        full_sector_spectrum(p)
+        with pytest.raises(AssertionError, match="sector matrix"):
+            ground_state(p, method="dense")
 
 
 class TestGroundState:
@@ -473,7 +502,7 @@ class TestFullSpectrum:
 
     def test_dense_cap(self):
         with pytest.raises(DimTooLargeError):
-            full_sector_spectrum(XxzParams(jz=0.0, gamma=0.0, L=16))
+            full_sector_spectrum(XxzParams(jz=0.0, gamma=0.0, L=18))
 
     @pytest.mark.parametrize("L", [4, 6, 8, 10, 12])
     def test_matches_the_dense_sector(self, L):

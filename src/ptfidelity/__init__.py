@@ -19,7 +19,6 @@ from .biortho import (
     pt_partner_state,
 )
 from .errors import (
-    AmbiguousPairingError,
     AtExceptionalMomentumError,
     BasisCapExceededError,
     ConfigError,

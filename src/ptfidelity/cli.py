@@ -28,6 +28,7 @@ from .ssh import (
 )
 from .sweep import (
     _AXIS_NAMES,
+    _SWEEP_KEYS,
     Axis,
     SweepConfig,
     _convert,
@@ -38,22 +39,25 @@ from .sweep import (
 )
 from .xxz import XxzParams, _check_tol_real, _with, full_sector_spectrum, ground_state
 
+_DEFAULT_L = {"ssh": 101, "xxz": 10}    # chain size of the scans and of ep-locate
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    """Sweep options; every subcommand declares ``--out`` itself."""
-    parser.add_argument("--epsilon", type=float, default=1e-3,
+    """Sweep options; every subcommand declares ``--out`` itself.  They
+    default to None, so an unset one takes ``SweepConfig``'s default."""
+    parser.add_argument("--epsilon", type=float, default=None,
                         help="fidelity step (default 1e-3)")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for grid evaluation")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+    parser.add_argument("--format", choices=("csv", "json"), default=None,
                         dest="fmt", help="output format")
     parser.add_argument("--definition", choices=FIDELITY_TAGS,
-                        default="metricized", help="fidelity definition")
+                        default=None, help="fidelity definition")
 
 
 def _add_solver(parser: argparse.ArgumentParser, seed_help: str) -> None:
     """Options of the XXZ ground-state solves."""
-    parser.add_argument("--seed", type=int, default=0, help=seed_help)
+    parser.add_argument("--seed", type=int, default=None, help=seed_help)
     parser.add_argument("--tol-real", type=float, default=None,
                         help="imaginary-part threshold for PT classification")
 
@@ -78,12 +82,24 @@ def _params(fn, *args, **values):
 
 
 def _build_sweep_config(args) -> SweepConfig:
+    model = args.model
     if args.config:
+        # the file states the whole sweep, so an option beside it would be dropped
+        flags = [(f"--{key.replace('_', '-')}", name)
+                 for key, (name, _) in _SWEEP_KEYS.items() if key != "out"]
+        flags += [(f"--{name}", name) for name in _AXIS_NAMES[model]] + [("-L", "L")]
+        given = [flag for flag, name in flags if getattr(args, name, None) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} not taken with --config")
         with open(args.config, encoding="utf-8") as f:
-            return parse_config(f.read())
+            cfg = parse_config(f.read())
+        if cfg.model != model:
+            raise ConfigError(f"{model}-scan does not run a config with model = {cfg.model}")
+        if cfg.out and args.out:
+            raise ConfigError(f"--out not taken with a config that sets out = {cfg.out}")
+        return cfg
     axes: list[Axis] = []
     fixed: dict[str, float] = {}
-    model = args.model
     for name in _AXIS_NAMES[model]:
         raw = getattr(args, name)
         if raw is None:
@@ -93,15 +109,14 @@ def _build_sweep_config(args) -> SweepConfig:
             axes.append(parsed)
         else:
             fixed[name] = parsed
-    sizes = list(args.L)
+    sizes = args.L or [_DEFAULT_L[model]]
     if model == "ssh" and len(sizes) == 1:
         fixed["L"] = sizes[0]
         sizes = []
-    solver = {k: getattr(args, k) for k in ("seed", "tol_real") if hasattr(args, k)}
     return SweepConfig(
         model=model, axes=axes, fixed=fixed, sizes=sizes,
-        epsilon=args.epsilon, definition=args.definition,
-        threads=args.threads, out=args.out, fmt=args.fmt, **solver,
+        **{name: value for name, _ in _SWEEP_KEYS.values()
+           if (value := getattr(args, name, None)) is not None},
     )
 
 
@@ -215,7 +230,7 @@ def cmd_ep_locate(args) -> int:
     given = [f"--{n.replace('_', '-')}" for n in own[other] if getattr(args, n) is not None]
     if given:
         raise ConfigError(f"{', '.join(given)} not taken with --model {args.model}")
-    defaults = {**own[args.model], "L": 101 if args.model == "ssh" else 10}
+    defaults = {**own[args.model], "L": _DEFAULT_L[args.model], "seed": 0}
     for name, default in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -325,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(func=func, **defaults)
         return cmd
 
-    for model, help_text, L in (("ssh", "ladder sweep over (v1, u, v2)", 101),
-                                ("xxz", "spin-chain sweep over (gamma, jz)", 10)):
+    for model, help_text in (("ssh", "ladder sweep over (v1, u, v2)"),
+                             ("xxz", "spin-chain sweep over (gamma, jz)")):
         scan = command(f"{model}-scan", cmd_scan, help_text, model=model)
         _add_common(scan)
         if model == "xxz":      # SSH states and classes are closed form
@@ -334,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         scan.add_argument("--config", default=None, help="sweep config file")
         for name in _AXIS_NAMES[model]:
             scan.add_argument(f"--{name}", nargs="+", default=None)
-        scan.add_argument("-L", type=int, nargs="+", default=[L])
+        scan.add_argument("-L", type=int, nargs="+", default=None)
 
     bands = command("ssh-bands", cmd_ssh_bands, "per-momentum energies and chi_k")
     bands.add_argument("--v1", type=float, required=True)

@@ -14,13 +14,6 @@ class DefectiveMatrixError(PtfidelityError):
     defective and biorthogonal normalization is impossible."""
 
 
-class AmbiguousPairingError(PtfidelityError):
-    """Left and right spectra cannot be matched bijectively within tolerance.
-
-    ``biorthogonal_eig`` no longer raises it: LAPACK returns each eigenvalue
-    with its left and right vectors already paired."""
-
-
 class UnpairableSpectrumError(PtfidelityError):
     """A complex eigenvalue has no conjugate partner within tolerance."""
 

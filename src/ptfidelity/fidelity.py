@@ -270,7 +270,6 @@ class OneHalfResult:
 
     is_second_order: bool
     n_crossings: int | None          # matched exponent in (1/2)^n, if any
-    target: float                    # (1/2)^n used for the verdict
     re_f_trace: list[tuple[float, complex]] = field(default_factory=list)
 
 
@@ -366,7 +365,6 @@ def one_half_ep_test(
     return OneHalfResult(
         is_second_order=n_match is not None,
         n_crossings=n_match,
-        target=0.5**n_match if n_match else 0.5,
         re_f_trace=trace,
     )
 

@@ -257,8 +257,8 @@ def single_particle_states(k: float, p: SshParams) -> BlochStates:
 
 def chi_k_numerator(k, p: SshParams):
     """Numerator of the per-momentum susceptibility along the v1 direction."""
-    return (np.sin(k) ** 2 - p.u**2
-            + p.v2 * (np.cos(k) - np.cos(3 * k))
+    return (p.w**2 * np.sin(k) ** 2 - p.u**2
+            + p.v2 * p.w * (np.cos(k) - np.cos(3 * k))
             + p.v2**2 * np.sin(2 * k) ** 2)
 
 
@@ -311,9 +311,11 @@ def chi_k_rr(k: float, p: SshParams) -> float:
             - v1 * v2 - (v2**2 + 4) * v2**2 - 1
         )
         denom = 2 * v1 * v2 * c2 + 2 * c1 * (v1 + v2) + v1**2 + v2**2 + 1
-        return float(-omega / (8 * delta * denom**2))
-    upsilon = -(2 * u**2 + v2 * (v2 * c4 - 2 * c1 + 2 * c3) + c2 - v2**2 - 1)
-    return float(upsilon / (8 * delta * u**2))
+        chi = -omega / (8 * delta * denom**2)
+    else:
+        upsilon = -(2 * u**2 + v2 * (v2 * c4 - 2 * c1 + 2 * c3) + c2 - v2**2 - 1)
+        chi = upsilon / (8 * delta * u**2)
+    return float(chi / w**2)        # back from units of w
 
 
 @dataclass
@@ -454,7 +456,7 @@ def positive_divergence_curve(v2: float = 0.0, w: float = 1.0) -> np.ndarray:
     ``v1 = -w cos k``), a curve through the Hermitian critical point.
     """
     rows = []
-    numerator = SshParams(v1=0.0, v2=v2)     # chi_k_numerator reads only u and v2
+    numerator = SshParams(v1=0.0, v2=v2, w=w)   # chi_k_numerator reads u, v2 and w
     for k in np.linspace(0.0, 2 * np.pi, 721):
         c, c2 = np.cos(k), np.cos(2 * k)
         # u^2 from the numerator condition

@@ -62,6 +62,14 @@ _AXIS_NAMES = {
 # and ``to_text`` leaves them out.  ``ssh`` configs may still set ``seed``,
 # which changes nothing there (existing ssh configs carry it).
 _UNUSED_KEYS = {"ssh": ("tol_real",), "dense-file": ("seed",)}
+# every [sweep] key but ``model``, in the order ``to_text`` writes them, with
+# the SweepConfig field each sets and the type its text converts to; the
+# field declarations hold the defaults
+_SWEEP_KEYS = {"definition": ("definition", str), "epsilon": ("epsilon", float),
+               "seed": ("seed", int), "threads": ("threads", int),
+               "format": ("fmt", str), "out": ("out", str),
+               "tol_real": ("tol_real", float),
+               "divergence_floor": ("divergence_floor", float)}
 
 
 @dataclass(frozen=True)
@@ -167,20 +175,11 @@ class SweepConfig:
 
     def to_text(self) -> str:
         """Flat key=value echo with section headers; parses back equal."""
-        lines = ["[sweep]"]
-        lines.append(f"model = {self.model}")
-        lines.append(f"definition = {self.definition}")
-        lines.append(f"epsilon = {self.epsilon!r}")
-        unused = _UNUSED_KEYS.get(self.model, ())
-        if "seed" not in unused:
-            lines.append(f"seed = {self.seed}")
-        lines.append(f"threads = {self.threads}")
-        lines.append(f"format = {self.fmt}")
-        if self.out:
-            lines.append(f"out = {self.out}")
-        if self.tol_real is not None and "tol_real" not in unused:
-            lines.append(f"tol_real = {self.tol_real!r}")
-        lines.append(f"divergence_floor = {self.divergence_floor!r}")
+        lines = ["[sweep]", f"model = {self.model}"]
+        for key, (name, kind) in _SWEEP_KEYS.items():
+            value = getattr(self, name)
+            if value not in (None, "") and key not in _UNUSED_KEYS.get(self.model, ()):
+                lines.append(f"{key} = {value!r}" if kind is float else f"{key} = {value}")
         for k, v in self.options.items():
             lines.append(f"{k} = {v}")
         if self.fixed:
@@ -252,26 +251,19 @@ def parse_config(text: str) -> SweepConfig:
         except KeyError as err:
             raise ConfigError(f"axis section missing {err}") from None
 
-    model = sweep.get("model", "")
+    model = sweep.pop("model", "")
+    for key in sweep:           # a misspelt key would leave its default in place
+        if key not in _SWEEP_KEYS and key not in ("h0", "v"):
+            raise ConfigError(f"unknown [sweep] key {key!r}; expected model, h0, v "
+                              f"or one of {tuple(_SWEEP_KEYS)}")
     for key in _UNUSED_KEYS.get(model, ()):
         if key in sweep:
             raise ConfigError(f"{model} sweeps do not use {key!r}; remove it")
-    # numeric [sweep] keys share their SweepConfig field names and defaults
-    typed = {"epsilon": float, "seed": int, "threads": int, "tol_real": float,
-             "divergence_floor": float}
-    known = {"model", "definition", "out", "format", *typed}
-    options = {k: v for k, v in sweep.items() if k not in known}
     cfg = SweepConfig(
-        model=model,
-        axes=axes,
-        fixed=fixed,
-        sizes=sizes,
-        definition=sweep.get("definition", "metricized"),
-        out=sweep.get("out"),
-        fmt=sweep.get("format", "csv"),
-        options=options,
-        source_text=text,
-        **{k: _convert(kind, k, sweep[k]) for k, kind in typed.items() if k in sweep},
+        model=model, axes=axes, fixed=fixed, sizes=sizes, source_text=text,
+        options={k: v for k, v in sweep.items() if k not in _SWEEP_KEYS},
+        **{name: _convert(kind, key, sweep[key])
+           for key, (name, kind) in _SWEEP_KEYS.items() if key in sweep},
     )
     cfg.validate()
     return cfg
@@ -337,9 +329,7 @@ def _ssh_line(cfg: SweepConfig, line: list[PointResult]) -> None:
     L = line[0].L
 
     def params(vals: dict[str, float]) -> SshParams:
-        merged = {**cfg.fixed, **vals}
-        return SshParams(v1=merged["v1"], v2=merged.get("v2", 0.0),
-                         u=merged.get("u", 0.0), w=merged.get("w", 1.0), L=L)
+        return SshParams(**{**cfg.fixed, **vals, "L": L})
 
     rows = []
     for point in line:

@@ -5,7 +5,6 @@ from scipy.optimize import linear_sum_assignment
 
 import ptfidelity.biortho as biortho
 from ptfidelity import (
-    AmbiguousPairingError,
     DefectiveMatrixError,
     DimTooLargeError,
     NoConvergenceError,

@@ -448,6 +448,57 @@ class TestBadInputExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    CONFIGS = {
+        "ssh": "[sweep]\nmodel = ssh\n\n[fixed]\nu = 0.2\nL = 21\n\n"
+               "[axis]\nname = v1\nstart = 0.5\nstop = 0.9\ncount = 3\n",
+        "xxz": "[sweep]\nmodel = xxz\n\n[fixed]\njz = 1\n\n[axis]\nname = gamma\n"
+               "start = 0\nstop = 0.4\ncount = 3\n\n[sizes]\nL = 4\n",
+    }
+    CONFIGS["ssh-out"] = CONFIGS["ssh"].replace("ssh\n", "ssh\nout = file.csv\n", 1)
+
+    # the file states the whole sweep: any other scan option would be
+    # dropped, and so would the scan's model and an --out the file overrides
+    @pytest.mark.parametrize("command, config, extra, named", [
+        ("xxz-scan", "xxz", ("--jz", "5"), "--jz"),
+        ("xxz-scan", "xxz", ("--gamma", "0", "1", "9"), "--gamma"),
+        ("xxz-scan", "xxz", ("-L", "12"), "-L"),
+        ("xxz-scan", "xxz", ("--epsilon", "0.5"), "--epsilon"),
+        ("xxz-scan", "xxz", ("--threads", "2"), "--threads"),
+        ("xxz-scan", "xxz", ("--format", "json"), "--format"),
+        ("xxz-scan", "xxz", ("--definition", "RR"), "--definition"),
+        ("xxz-scan", "xxz", ("--seed", "4"), "--seed"),
+        ("xxz-scan", "xxz", ("--tol-real", "0"), "--tol-real"),
+        ("ssh-scan", "ssh", ("--v2", "0.3"), "--v2"),
+        ("ssh-scan", "ssh", ("--epsilon", "1e-3"), "--epsilon"),
+        ("xxz-scan", "ssh", (), "model = ssh"),
+        ("ssh-scan", "xxz", (), "model = xxz"),
+        ("ssh-scan", "ssh-out", (), "--out"),
+    ])
+    def test_option_beside_a_config_file_is_refused(self, command, config, extra,
+                                                    named, monkeypatch, tmp_path,
+                                                    capsys):
+        from ptfidelity import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a sweep before the arguments were checked")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.cfg").write_text(self.CONFIGS[config])
+        assert run_cli(command, "--config", "sweep.cfg", *extra, "--out", "flag.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "sweep.cfg"]
+
+    @pytest.mark.parametrize("model", ["ssh", "xxz"])
+    def test_config_file_alone_runs(self, model, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.cfg").write_text(self.CONFIGS[model])
+        assert run_cli(f"{model}-scan", "--config", "sweep.cfg", "--out", "a.csv") == 0
+        assert run_cli(f"{model}-scan", "--config", "sweep.cfg") == 0
+        assert (tmp_path / "a.csv").read_text() == \
+            (tmp_path / f"{model}_scan.csv").read_text()
+
     @pytest.mark.parametrize("option", ["--seed", "--tol-real"])
     def test_ssh_scan_has_no_solver_options(self, option, tmp_path):
         # the closed-form SSH sweep would silently ignore either value

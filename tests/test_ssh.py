@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ptfidelity import (
     biorthogonal_eig,
     chi_perturbative,
     chi_rr_perturbative,
+    fidelity_variant,
     metricized_fidelity,
 )
 from ptfidelity.ssh import (
@@ -209,6 +211,58 @@ class TestChiKRR:
         es = biorthogonal_eig(bloch_matrix(k, p))
         oracle = chi_rr_perturbative(es, bloch_dv1(k), es.ground_index())
         assert abs(chi_k_rr(k, p) - oracle) < 1e-9 * max(1, abs(oracle))
+
+
+def _fd_chi_k(k, p, tag, h):
+    """Symmetric finite difference of the lower-band fidelity along v1."""
+    a, b = (single_particle_states(k, replace(p, v1=p.v1 + s)) for s in (-h, h))
+    F = fidelity_variant(tag, a.left_minus, a.right_minus, b.left_minus, b.right_minus)
+    return ((1 - F) / (2 * h) ** 2).real
+
+
+class TestRungHopping:
+    """The closed forms hold at any rung hopping w, not only at w = 1."""
+
+    @pytest.mark.parametrize("w", [0.6, 2.0, 3.0])
+    @pytest.mark.parametrize("chi_k, tag", [(chi_k_metricized, "metricized"),
+                                            (chi_k_rr, "RR")])
+    def test_per_momentum_forms_match_finite_differences(self, w, chi_k, tag):
+        branches = set()
+        for v1, v2, u in ((1.4, 0.6, 0.4), (0.5, 0.2, 0.3), (0.9, 0.0, 0.25)):
+            p = SshParams(v1=v1 * w, v2=v2 * w, u=u * w, w=w, L=8)
+            for k in np.linspace(0.1, 6.2, 23):
+                delta = band_discriminant(k, p)
+                if abs(delta) < 5e-2 * w**2:
+                    continue
+                branches.add(delta > 0)
+                oracle = _fd_chi_k(k, p, tag, 1e-4 * w)
+                assert abs(chi_k(k, p) - oracle) < 1e-5 * max(abs(oracle), 1 / w**2)
+        assert branches == {True, False}
+
+    @pytest.mark.parametrize("w", [0.6, 2.0, 3.0])
+    def test_chi_total_matches_the_many_body_finite_difference(self, w):
+        p = SshParams(v1=1.4, v2=0.6, u=0.4, w=w, L=21)
+        h = 1e-5
+        F = many_body_fidelity(p, p.v1 - h, p.v1 + h).value
+        oracle = ((1 - F) / (2 * h) ** 2).real
+        assert abs(chi_total(p).value - oracle) < 1e-4 * abs(oracle)
+
+    def test_divergence_curve_scales_with_w(self):
+        # every coupling in units of w: twice w doubles v1 and u, bit for bit
+        scaled, unit = positive_divergence_curve(0.3, 2.0), positive_divergence_curve(0.15)
+        assert len(unit) > 0
+        assert np.array_equal(scaled[:, 0], unit[:, 0])
+        assert np.array_equal(scaled[:, 1:], 2 * unit[:, 1:])
+
+    def test_divergence_curve_zeroes_both_conditions(self):
+        from ptfidelity.ssh import chi_k_numerator
+
+        curve = positive_divergence_curve(0.4, 3.0)
+        assert len(curve) > 100         # a sampled curve, not a few stray roots
+        for k, v1, u in curve[::37]:
+            p = SshParams(v1=v1, v2=0.4, u=u, w=3.0, L=8)
+            assert abs(band_discriminant(k, p)) < 1e-9
+            assert abs(chi_k_numerator(k, p)) < 1e-9
 
 
 class TestManyBody:

@@ -100,6 +100,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
 
+    @pytest.mark.parametrize("key", ["epsilom", "Epsilon", "fmt", "h1", "v1"])
+    def test_unknown_sweep_key_is_refused(self, key):
+        # a misspelt key would leave its setting at the default
+        text = SSH_CONFIG.replace("epsilon = 1e-3", f"{key} = 0.5")
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(text)
+
     @pytest.mark.parametrize("tol_real", ["-1", "nan"])
     def test_negative_or_nan_tol_real_is_refused(self, tol_real):
         cfg = tiny_xxz_config()
@@ -274,6 +281,22 @@ class TestSshStackedSweep:
         assert classes == {"unbroken", "broken"}
         assert any("straddle" in p.ep_flag for p in result.points)
 
+    def test_metricized_v1_chi_at_a_rung_hopping_of_two(self):
+        # the closed-form chi of a metricized v1 scan, against the many-body
+        # finite difference at w = 2
+        from ptfidelity.ssh import many_body_fidelity
+
+        fixed = {"v2": 0.6, "u": 0.4, "w": 2.0}
+        cfg = SweepConfig(model="ssh", axes=[Axis("v1", 1.2, 1.6, 3)],
+                          fixed={**fixed, "L": 21})
+        h = 1e-5
+        for point in run_sweep(cfg).points:
+            assert point.error == ""
+            p = SshParams(v1=point.axis_values["v1"], L=21, **fixed)
+            F = many_body_fidelity(p, p.v1 - h, p.v1 + h).value
+            oracle = ((1 - F) / (2 * h) ** 2).real
+            assert abs(point.chi.real - oracle) < 1e-4 * abs(oracle)
+
 
 class TestDeterminism:
     def _csv(self, cfg):
@@ -341,8 +364,14 @@ class TestEmit:
         assert lines[0].startswith("model,L,v1,epsilon,definition,re_F")
 
     def test_model_column_ignores_model_like_keys(self):
-        text = SSH_CONFIG.replace("model = ssh", "model_note = baseline\nmodel = ssh")
-        result = run_sweep(parse_config(text))
+        # a config file refuses the key, so it is set in code; the echo
+        # writes it after the model line
+        cfg = parse_config(SSH_CONFIG)
+        cfg.options["model_note"] = "baseline"
+        cfg.source_text = ""
+        result = run_sweep(cfg)
+        lines = result.config_text.splitlines()
+        assert lines.index("model_note = baseline") > lines.index("model = ssh")
         buf = io.StringIO()
         write_csv(result, buf)
         rows = buf.getvalue().splitlines()[1:]

@@ -25,9 +25,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig
-from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
+# scipy.linalg is imported inside the functions that call it: after numpy
+# the import takes about 0.24 s (2 shared vCPUs), more than half of a whole
+# SSH command, and the SSH closed forms never call it
 from .errors import (
     DefectiveMatrixError,
     DimTooLargeError,
@@ -168,6 +169,8 @@ def _shifted_lu(A, shift, pivot_floor):
     Pivots below ``pivot_floor`` are raised to it, as LAPACK's inverse
     iteration does, so an exactly singular shift still gives the
     eigenvector."""
+    from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
+
     real = np.isrealobj(A) and shift.imag == 0
     dtype, getrf, getrs = ((float, dgetrf, dgetrs) if real
                            else (complex, zgetrf, zgetrs))
@@ -325,6 +328,8 @@ def biorthogonal_eig(H) -> BiorthogonalEigensystem:
         ``OVERLAP_FLOOR``: the matrix is at, or numerically at, an
         exceptional point.
     """
+    from scipy.linalg import eig
+
     H = _as_square(H).astype(complex, copy=False)
     w, left, right = eig(H, left=True, check_finite=False)
 

@@ -29,8 +29,10 @@ from functools import partial
 from math import comb, isfinite
 
 import numpy as np
-import scipy
 
+# scipy is imported where the provenance reads its version: even the bare
+# package takes about 14 ms to import after numpy (2 shared vCPUs), and an
+# SSH sweep needs nothing else of it
 from ._version import VERSION as _version
 from .biortho import classify_pt, dense_ground_pair
 from .errors import ConfigError, PtfidelityError, error_text
@@ -512,6 +514,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             }
         except (PtfidelityError, ValueError):
             extrapolation = None
+
+    import scipy
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     provenance = {

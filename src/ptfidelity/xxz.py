@@ -45,11 +45,13 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isfinite
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.linalg import eigh
 
+# scipy.sparse and scipy.linalg are imported inside the functions that call
+# them: after numpy each import takes about 0.23 s (2 shared vCPUs), which
+# a process that never builds an XXZ matrix should not pay
 from .biortho import (
     SparseComplexSymmetricMatrix,
     dense_full_spectrum,
@@ -67,6 +69,9 @@ from .errors import (
 )
 from .fidelity import DEFAULT_EPSILON, FidelityRecord, chi_finite_difference, fidelity_variant
 from .lanczos import LanczosResult, complex_symmetric_lanczos
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 LANCZOS_BASIS_CAP = comb(28, 14)       # ~4.0e7 configurations
 # largest dense matrix: the sector for ground_state(method="dense"), L <= 14,
@@ -183,6 +188,8 @@ class _SectorPattern:
 def _sector_pattern(L: int) -> _SectorPattern:
     """The read-only ``_SectorPattern`` of ``L`` sites, built and checked
     for symmetry once per ``L``."""
+    from scipy import sparse
+
     S = build_m0_basis(L).states
     n = len(S)
     ising = np.zeros(n)
@@ -276,7 +283,7 @@ class _Block:
     def matrix(self, data: np.ndarray) -> sparse.csr_matrix:
         # a CSR matrix built from another shares its arrays unchecked, which
         # is a third of the cost of building one from (data, indices, indptr)
-        out = sparse.csr_matrix(self.pattern)
+        out = type(self.pattern)(self.pattern)
         out.data = data
         return out
 
@@ -317,6 +324,8 @@ def _block(L: int, q: int) -> _Block:
     once per ``(L, q)``.  Construction raises ``ValueError`` unless the
     basis has the block's dimension and the rotated exchange, Ising and
     staggered matrices are real."""
+    from scipy import sparse
+
     rep, period, _, dims = _t2_orbits(L)
     n = len(rep)
     flip = np.arange(n)[::-1]                   # index of F s
@@ -408,6 +417,8 @@ def build_hamiltonian(p: XxzParams, basis: M0Basis | None = None,
     ``jz * ising + i * gamma * staggered``.
     ``basis``, when given, must be the M=0 sector of ``p.L``.
     """
+    from scipy import sparse
+
     _check_basis(p, basis)
     pat = _sector_pattern(p.L)
     return SparseComplexSymmetricMatrix(pat.hop + sparse.diags(
@@ -507,6 +518,8 @@ def _bendixson_bound(L: int, q: int, jz: float) -> float:
     with _BOUNDS_LOCK:
         f = _BOUNDS.get((L, q), {}).get(jz)
     if f is None:
+        from scipy.linalg import eigh
+
         f = float(eigh(block.matrix(block.exchange + jz * block.ising).toarray(),
                        eigvals_only=True, subset_by_index=[0, 0])[0])
         with _BOUNDS_LOCK:
